@@ -7,19 +7,29 @@ exp(2 pi i <nu, rho_check> / h) there, which the conductor N = h * e
 (e the exponent of the center P/Q) turns into an integer power of
 zeta_N.  Numerator and denominator are alternating sums over the full
 Weyl group, accumulated exactly in ZZ[zeta_N]; the character is their
-exact quotient in QQ(zeta_N) and must come out as a literal -1, 0 or
-+1.  Any other value raises with a full witness: the oracle can
-falsify the theory, it never assumes it.
+quotient in QQ(zeta_N) and must come out as a literal -1, 0 or +1.
+Any other value raises with a full witness: the oracle can falsify the
+theory, it never assumes it.  The denominator is the same Weyl sum at
+lambda = 0, not the product formula the fast path rests on.
 
-The Weyl sum runs as a breadth-first walk over the orbit of the
-strictly dominant weight mu = lambda + rho; strict dominance makes
-w -> w(mu) a bijection, every edge flips the sign, and an inconsistent
-revisit (the symptom of a violated precondition) raises.
+Because <w(mu), rho_check> = <mu, w^-1(rho_check)>, the exponents of a
+Weyl sum are the pairings of mu with the signed W-orbit of
+e * rho_check, which does not depend on lambda.  Each factor walks that
+orbit once, on first use: a breadth-first walk over coweights in
+simple-coroot coordinates that raises on a stabilized point, on a sign
+that disagrees on revisit, and on an orbit whose size is not |W|.  Each
+sign class is stored as one big integer per coordinate, its orbit
+points' residues mod N packed into 64-bit fields, so the pairings with
+mu are r big-integer multiply-adds and the Weyl sum is a histogram of
+the 64-bit fields, folded mod N.
 """
 
 from __future__ import annotations
 
 import cmath
+import struct
+import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -27,10 +37,63 @@ from typing import Sequence
 
 from .cyclotomic import CyclotomicInt, divide_exact
 from .errors import CapExceeded, InternalCheckError, TheoremViolation
+from .lattice import IntMatrix
 from .rootdata import RootDatum, SimpleFactor
 
 DEFAULT_WEYL_CAP = 5_000_000
 FLOAT_SHADOW_TOLERANCE = 1e-6
+
+# (sign, one packed integer per coordinate, number of points)
+SignClass = tuple[int, tuple[int, ...], int]
+
+
+def _walk_signed_orbit(
+    cartan: IntMatrix, start: tuple[int, ...]
+) -> dict[tuple[int, ...], int]:
+    """Signed W-orbit of a coweight in simple-coroot coordinates:
+    point -> det(w) for the w that reaches it.
+
+    Breadth-first with one frontier per word length, so consecutive
+    frontiers have opposite signs.  s_j(x) = x - <alpha_j, x> alpha_j_vee
+    changes coordinate j only, by <alpha_j, x> = sum_k A[k][j] x_k.
+    Raises on a stabilized point (start was not regular) and on a sign
+    that disagrees on revisit.
+    """
+    r = len(start)
+    # off-diagonal nonzeros of column j; the diagonal entry is 2
+    cols = [
+        (j, tuple((k, cartan[k][j]) for k in range(r) if k != j and cartan[k][j] != 0))
+        for j in range(r)
+    ]
+    visited = {start: 1}
+    frontier = [start]
+    sign = 1
+    while frontier:
+        sign = -sign
+        nxt = []
+        for x in frontier:
+            y = list(x)
+            for j, col in cols:
+                xj = y[j]
+                p = 2 * xj
+                for k, akj in col:
+                    p += akj * y[k]
+                if p == 0:
+                    raise InternalCheckError(
+                        f"orbit walk found a point {x} stabilized by s_{j + 1}; "
+                        f"the start {start} was not regular"
+                    )
+                y[j] = xj - p
+                yt = tuple(y)
+                y[j] = xj
+                prev = visited.get(yt)
+                if prev is None:
+                    visited[yt] = sign
+                    nxt.append(yt)
+                elif prev != sign:
+                    raise InternalCheckError(f"orbit walk sign inconsistency at {yt}")
+        frontier = nxt
+    return visited
 
 
 @dataclass
@@ -38,9 +101,9 @@ class CoxeterEvaluation:
     """Evaluation data at the Coxeter element of one simple factor."""
 
     factor: SimpleFactor
-    conductor: int
-    exponent_scale: int  # e = exponent of P/Q
+    conductor: int  # N = h * e, e the exponent of P/Q
     weight_exponents: tuple[int, ...]  # e * <omega_k, rho_check>, all integral
+    _orbit: tuple[SignClass, ...] | None = field(default=None, repr=False)
     _denominator: CyclotomicInt | None = field(default=None, repr=False)
     _denominator_shadow: complex = field(default=0j, repr=False)
 
@@ -56,58 +119,48 @@ class CoxeterEvaluation:
                     f"conductor {n} does not clear the exponent denominators of {f.name}"
                 )
             exps.append(int(v))
-        return cls(factor=f, conductor=n, exponent_scale=e, weight_exponents=tuple(exps))
+        return cls(factor=f, conductor=n, weight_exponents=tuple(exps))
 
-    def exponent(self, nu: Sequence[int]) -> int:
-        """e * <nu, rho_check>; additive in nu."""
-        return sum(a * b for a, b in zip(nu, self.weight_exponents))
+    def _signed_orbit(self) -> tuple[SignClass, ...]:
+        """The signed W-orbit of e * rho_check, split by sign and packed
+        mod N; walked on the first call and cached."""
+        if self._orbit is None:
+            f = self.factor
+            n = self.conductor
+            points = _walk_signed_orbit(f.cartan, self.weight_exponents)
+            if len(points) != f.weyl_order:
+                raise InternalCheckError(
+                    f"orbit size {len(points)} != Weyl order {f.weyl_order} on {f.name}"
+                )
+            classes = []
+            for sign in (1, -1):
+                members = [x for x, s in points.items() if s == sign]
+                packed = tuple(
+                    int.from_bytes(
+                        struct.pack(f"{len(coord)}Q", *map(n.__rmod__, coord)), sys.byteorder
+                    )
+                    for coord in zip(*members)
+                )
+                classes.append((sign, packed, len(members)))
+            self._orbit = tuple(classes)
+        return self._orbit
 
     def signed_orbit_counts(self, mu: Sequence[int]) -> list[int]:
-        """counts[k] = sum of det(w) over w with exponent(w(mu)) = k mod N.
+        """counts[k] = sum of det(w) over w with e * <w(mu), rho_check> = k mod N.
 
-        BFS over the orbit of mu.  The exponent updates incrementally:
-        reflecting at i subtracts c_i * e, because every simple root
-        pairs to 1 with rho_check.
+        e * <w(mu), rho_check> = <mu, v> for v = w^-1(e * rho_check), and
+        det(w) = det(w^-1), so this is the histogram of <mu, v> mod N
+        over the signed orbit.  mu is reduced mod N first, so each
+        64-bit field of the packed sum holds at most r * (N - 1)**2 and
+        no field carries into the next.
         """
-        f = self.factor
         n = self.conductor
-        e = self.exponent_scale
-        r = f.rank
-        a = f.cartan
-        nz = [
-            tuple((k, a[k][j]) for k in range(r) if a[k][j] != 0)
-            for j in range(r)
-        ]
-        start = tuple(mu)
-        visited: dict[tuple[int, ...], int] = {start: 1}
         counts = [0] * n
-        counts[self.exponent(start) % n] += 1
-        stack: list[tuple[tuple[int, ...], int, int]] = [(start, self.exponent(start), 1)]
-        while stack:
-            x, ex, sgn = stack.pop()
-            for j in range(r):
-                cj = x[j]
-                if cj == 0:
-                    raise InternalCheckError(
-                        "orbit walk found a stabilized point; mu was not strictly dominant"
-                    )
-                y = list(x)
-                for k, akj in nz[j]:
-                    y[k] -= cj * akj
-                yt = tuple(y)
-                ysgn = -sgn
-                prev = visited.get(yt)
-                if prev is None:
-                    visited[yt] = ysgn
-                    yex = ex - cj * e
-                    counts[yex % n] += ysgn
-                    stack.append((yt, yex, ysgn))
-                elif prev != ysgn:
-                    raise InternalCheckError("orbit walk sign inconsistency")
-        if len(visited) != f.weyl_order:
-            raise InternalCheckError(
-                f"orbit size {len(visited)} != Weyl order {f.weyl_order}"
-            )
+        for sign, packed, size in self._signed_orbit():
+            total = sum(m % n * p for m, p in zip(mu, packed))
+            fields = memoryview(total.to_bytes(8 * size, sys.byteorder)).cast("Q")
+            for v, c in Counter(fields).items():
+                counts[v % n] += sign * c
         return counts
 
     def numerator(self, lam: Sequence[int]) -> tuple[CyclotomicInt, complex]:
@@ -120,6 +173,7 @@ class CoxeterEvaluation:
         return exact, shadow
 
     def denominator(self) -> tuple[CyclotomicInt, complex]:
+        """The Weyl sum at lambda = 0, cached."""
         if self._denominator is None:
             exact, shadow = self.numerator((0,) * self.factor.rank)
             if not exact:
@@ -160,12 +214,13 @@ def weyl_numerator(
 def char_at_coxeter_oracle(
     rd: RootDatum, lam: Sequence[int], cap: int | None = DEFAULT_WEYL_CAP
 ) -> int:
-    """Character value at the Coxeter class by exact division of Weyl
-    sums; product types multiply per-factor values.
+    """Character value at the Coxeter class as the exact quotient of
+    Weyl sums; product types multiply per-factor values.
 
-    Asserts the quotient is literally -1, 0 or +1 (TheoremViolation
-    otherwise, with the full witness) and that the double-precision
-    shadow of every factor quotient agrees within 1e-6."""
+    Asserts the quotient is literally -1, 0 or +1, by comparing the
+    canonical numerator with 0 and +-denominator (TheoremViolation
+    otherwise, with the exact quotient in the witness), and that the
+    double-precision shadow of every factor quotient agrees within 1e-6."""
     lam = rd.validate_weight(lam, dominant=True)
     _check_cap(rd, cap)
     value = 1
@@ -173,9 +228,14 @@ def char_at_coxeter_oracle(
         ev = _evaluation(f)
         num, num_shadow = ev.numerator(lam[rd.factor_slice(k)])
         den, den_shadow = ev.denominator()
-        quotient = divide_exact(num, den)
-        q = quotient.as_integer()
-        if q is None or q not in (-1, 0, 1):
+        if not num:
+            q = 0
+        elif num == den:
+            q = 1
+        elif num == -den:
+            q = -1
+        else:
+            quotient = divide_exact(num, den)
             raise TheoremViolation(
                 f"oracle got character value outside {{-1, 0, 1}} for {f.name}",
                 witness={

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from coxchar.cli import EXIT_CAP, EXIT_DIAGNOSTIC, EXIT_OK, EXIT_USAGE, main
+
+SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" / "cli_output.schema.json"
 
 
 def run(capsys, *argv):
@@ -140,6 +143,15 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", "A3", "--random", "5", "--seed", "3")
         assert out1 == out2
 
+    def test_b4_box_stdout_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "verify", "B4", "--max-coord", "2")
+        assert code == EXIT_OK
+        assert out == (
+            '{\n  "agreements": 81,\n  "checked": 81,\n  "disagreements": [],\n'
+            '  "max_coord": 2,\n  "mode": "box",\n  "schema_version": "1",\n'
+            '  "type": "B4"\n}\n'
+        )
+
     def test_e8_refused_exit_4(self, capsys):
         code, _, err = run(capsys, "verify", "E8", "--max-coord", "1")
         assert code == EXIT_CAP
@@ -172,3 +184,29 @@ class TestCheckAll:
         assert code == EXIT_OK
         assert doc["all_passed"] is True
         assert "PASS" in err
+
+
+# (schema branch, argv): every subcommand, with and without the oracle
+SCHEMA_CASES = [
+    ("info", ["info", "A1xB3"]),
+    ("char", ["char", "A2", "1", "0"]),
+    ("char", ["char", "B3", "1", "0", "2", "--oracle"]),
+    ("char", ["char", "A1xG2", "3", "1", "2", "--oracle"]),
+    ("fs", ["fs", "B4", "0", "0", "0", "1"]),
+    ("table", ["table", "G2", "--max-coord", "2"]),
+    ("verify", ["verify", "A2xG2", "--max-coord", "1"]),
+    ("verify", ["verify", "F4", "--random", "5", "--seed", "7"]),
+    ("torsion", ["torsion", "A2", "3"]),
+    ("check_all", ["check-all"]),
+]
+
+
+@pytest.mark.parametrize("branch, argv", SCHEMA_CASES, ids=[" ".join(a) for _, a in SCHEMA_CASES])
+def test_stdout_matches_schema(capsys, branch, argv):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(SCHEMA_PATH.read_text())
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    jsonschema.Draft202012Validator(schema).validate(doc)
+    only_branch = {**schema, "oneOf": [{"$ref": f"#/$defs/{branch}"}]}
+    jsonschema.Draft202012Validator(only_branch).validate(doc)
