@@ -1,12 +1,17 @@
 """Character values at the Coxeter conjugacy class, in polynomial time.
 
 The value of an irreducible character with highest weight lambda at the
-Coxeter class is 0, +1 or -1.  It is nonzero exactly when mu = lambda +
-rho pairs nonzero mod h with every positive coroot; in that case mu
-reduces under the affine reflection group W x hQ to the unique integral
-point of the open fundamental alcove, which is rho, and the value is the
-determinant of the linear parts of the applied reflections.  None of
-this enumerates the Weyl group, so E8 is as cheap as A1.
+Coxeter class is 0, +1 or -1.  One pass over the positive coroots gives
+it: with mu = lambda + rho and q, s = divmod(<mu, beta_vee>, h), the value
+is 0 as soon as some s is 0 (mu is singular mod h, and beta_vee is the
+witness); otherwise it is (-1)**walls with walls = sum of the q, the
+number of affine walls between mu and the fundamental alcove of W x hQ.
+Reflecting mu across those walls one at a time reaches rho, the only
+integral point of the open alcove, and every reflection has
+determinant -1.  That walk, ``alcove_reduce``, is kept as the reference
+the wall count is checked against; the fast path never takes it.  None
+of this enumerates the Weyl group, and its cost does not grow with
+lambda, so E8 is as cheap as A1.
 
 Also here: the central character of rho, the order of the canonical
 Coxeter lift in the simply connected cover of the dual adjoint group,
@@ -17,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import InternalCheckError, TheoremViolation
+from .lattice import FiniteAbelianGroup
 from .rootdata import RootDatum, RootPair, SimpleFactor, Weight
-from .weyl import duality_involution, make_dominant
-
-ALCOVE_ITERATION_CAP = 10**6
+from .weyl import duality_involution
 
 
 @dataclass(frozen=True)
@@ -91,13 +96,24 @@ class CharReport:
         return out
 
 
-def _factor_blocking(f: SimpleFactor, mu: Sequence[int]) -> Optional[tuple[RootPair, int]]:
+def _walls_or_blocking(f: SimpleFactor, mu: Sequence[int]) -> int | RootPair:
+    """One pass over the positive coroots of f: the first beta with
+    <mu, beta_vee> = 0 mod h, or, when there is none, the number of
+    affine walls sum_beta floor(<mu, beta_vee> / h) between the strictly
+    dominant mu and the fundamental alcove."""
     h = f.coxeter_number
+    walls = 0
     for p in f.positive:
-        s = sum(a * b for a, b in zip(mu, p.coroot)) % h
+        q, s = divmod(sum(map(mul, mu, p.coroot)), h)
         if s == 0:
-            return p, s
-    return None
+            return p
+        walls += q
+    return walls
+
+
+def _blocking_coroot(rd: RootDatum, k: int, pair: RootPair) -> BlockingCoroot:
+    embedded = RootPair(*(rd.embed(k, coords) for coords in pair))
+    return BlockingCoroot(factor=k, pair=embedded, pairing_mod_h=0)
 
 
 def regularity_test(
@@ -111,159 +127,114 @@ def regularity_test(
     """
     lam = rd.validate_weight(lam, dominant=True)
     for k, f in enumerate(rd.factors):
-        mu = tuple(c + 1 for c in lam[rd.factor_slice(k)])
-        hit = _factor_blocking(f, mu)
-        if hit is not None:
-            pair, s = hit
-            embedded = RootPair(
-                root=rd.embed(k, pair.root),
-                simple_coords=rd.embed(k, pair.simple_coords),
-                coroot=rd.embed(k, pair.coroot),
-            )
-            return False, BlockingCoroot(factor=k, pair=embedded, pairing_mod_h=s)
+        hit = _walls_or_blocking(f, [c + 1 for c in lam[rd.factor_slice(k)]])
+        if not isinstance(hit, int):
+            return False, _blocking_coroot(rd, k, hit)
     return True, None
 
 
-def _alcove_reduce_factor(f: SimpleFactor, mu: Sequence[int]) -> tuple[tuple[int, ...], int, int]:
-    """Reflect mu into the open fundamental alcove of W x hQ.
-
-    Walls: the r linear walls <x, alpha_i_vee> = 0 (apply s_i, lowest
-    index first) and the affine wall <x, gamma_vee> = h for the highest
-    coroot gamma_vee (apply x -> x - (<x, gamma_vee> - h) * gamma).
-    Every reflection flips the sign; hitting a wall exactly contradicts
-    the regularity precondition and raises.
-    """
-    a = f.cartan
-    h = f.coxeter_number
-    gamma = f.highest_coroot.root  # fundamental-weight coords of the partner root
-    gamma_vee = f.highest_coroot.coroot
-    x = list(mu)
-    sign = 1
-    steps = 0
-    r = f.rank
-    while True:
-        moved = False
-        for j in range(r):
-            cj = x[j]
-            if cj == 0:
-                raise InternalCheckError(
-                    f"alcove reduction hit wall <x, alpha_{j+1}_vee> = 0 at {tuple(x)}"
-                )
-            if cj < 0:
-                for k in range(r):
-                    x[k] -= cj * a[k][j]
-                sign = -sign
-                steps += 1
-                moved = True
-                break
-        if moved:
-            if steps > ALCOVE_ITERATION_CAP:
-                raise InternalCheckError("alcove reduction exceeded its iteration cap")
-            continue
-        t = sum(c * g for c, g in zip(x, gamma_vee))
-        if t == h:
-            raise InternalCheckError(
-                f"alcove reduction hit the affine wall <x, gamma_vee> = {h} at {tuple(x)}"
-            )
-        if t > h:
-            excess = t - h
-            for k in range(r):
-                x[k] -= excess * gamma[k]
-            sign = -sign
-            steps += 1
-            if steps > ALCOVE_ITERATION_CAP:
-                raise InternalCheckError("alcove reduction exceeded its iteration cap")
-            continue
-        return tuple(x), sign, steps
-
-
 def alcove_reduce(rd: RootDatum, mu: Sequence[int]) -> tuple[Weight, int, int]:
-    """Factorwise alcove reduction of a strictly dominant, regular-mod-h
-    weight; returns (endpoint, sign, steps) with sign the product of the
-    per-factor reflection determinants.
+    """Reflect a strictly dominant, regular-mod-h weight into the open
+    fundamental alcove of W x hQ, factor by factor; returns (endpoint,
+    sign, steps) with sign = (-1)**steps, the product of the reflection
+    determinants.
 
-    The endpoint must be rho; anything else would falsify the theory
-    and raises TheoremViolation.
+    This is the reference walk the wall count is checked against.  Its
+    walls: the r linear walls <x, alpha_i_vee> = 0 (apply s_i, lowest
+    index first) and the affine wall <x, gamma_vee> = h for the highest
+    coroot gamma_vee (apply x -> x - (<x, gamma_vee> - h) * gamma).  Each
+    reflection removes exactly one of the walls between x and the alcove,
+    so a walk longer than the wall count, or one that hits a wall
+    exactly, raises InternalCheckError.
+    The endpoint must be rho; anything else would falsify the theory and
+    raises TheoremViolation.
     """
     mu = rd.validate_weight(mu)
     if any(c <= 0 for c in mu):
         raise ValueError(f"{mu} is not strictly dominant")
     endpoint: list[int] = []
-    sign = 1
     steps = 0
     for k, f in enumerate(rd.factors):
-        e, s, n = _alcove_reduce_factor(f, mu[rd.factor_slice(k)])
-        endpoint.extend(e)
-        sign *= s
-        steps += n
+        h = f.coxeter_number
+        mu_k = mu[rd.factor_slice(k)]
+        walls = _walls_or_blocking(f, mu_k)
+        if not isinstance(walls, int):
+            raise InternalCheckError(
+                f"alcove reduction of {mu} meets the wall <x, beta_vee> = 0 mod {h} "
+                f"of {f.name} for beta_vee = {walls.coroot}"
+            )
+        # the r + 1 walls: alpha_j in fundamental-weight coords, then the
+        # partner root gamma of the highest coroot
+        roots = [tuple(row[j] for row in f.cartan) for j in range(f.rank)]
+        roots.append(f.highest_coroot.root)
+        gamma_vee = f.highest_coroot.coroot
+        x = list(mu_k)
+        for step in range(walls + 1):
+            for j in range(f.rank):
+                if x[j] <= 0:
+                    excess = x[j]
+                    break
+            else:
+                j = f.rank
+                excess = sum(map(mul, x, gamma_vee)) - h
+                if excess < 0:
+                    break  # x is in the open alcove: the walk is done
+            if excess == 0:
+                wall = f"<x, alpha_{j+1}_vee> = 0" if j < f.rank else f"<x, gamma_vee> = {h}"
+                raise InternalCheckError(f"alcove reduction hit the wall {wall} at {tuple(x)}")
+            root = roots[j]
+            for i in range(f.rank):
+                x[i] -= excess * root[i]
+        else:
+            raise InternalCheckError(
+                f"alcove reduction of {mu} on {f.name} took more than "
+                f"the {walls} steps its wall count allows"
+            )
+        endpoint.extend(x)
+        steps += step  # the reflections made before the walk broke off
     endpoint_t = tuple(endpoint)
     if endpoint_t != rd.rho:
-        raise _endpoint_violation(rd, mu, endpoint_t)
-    return endpoint_t, sign, steps
-
-
-def _endpoint_violation(rd: RootDatum, mu, endpoint) -> TheoremViolation:
-    return TheoremViolation(
-        f"alcove reduction of {tuple(mu)} in {rd.type_string} ended at "
-        f"{endpoint}, not rho",
-        witness={"type": rd.type_string, "mu": list(mu), "endpoint": list(endpoint)},
-    )
+        raise TheoremViolation(
+            f"alcove reduction of {mu} in {rd.type_string} ended at {endpoint_t}, not rho",
+            witness={"type": rd.type_string, "mu": list(mu), "endpoint": list(endpoint_t)},
+        )
+    return endpoint_t, -1 if steps % 2 else 1, steps
 
 
 def char_at_coxeter(rd: RootDatum, lam: Sequence[int]) -> CharReport:
     """Character value of the irreducible with highest weight lambda at
-    the Coxeter conjugacy class; always one of -1, 0, +1."""
+    the Coxeter conjugacy class; always one of -1, 0, +1.
+
+    Per factor, mu = lambda + rho is singular mod h (value 0, with the
+    first blocking coroot as witness) or crosses ``steps`` affine walls
+    on its way to rho (value (-1)**steps).  ``endpoint_is_rho`` holds by
+    construction: the build asserts that rho is the only integral point
+    of the open fundamental alcove.
+    """
     lam = rd.validate_weight(lam, dominant=True)
-    factor_reports: list[FactorCharValue] = []
-    value = 1
-    blocking: Optional[BlockingCoroot] = None
-    total_steps = 0
+    factors = []
     for k, f in enumerate(rd.factors):
-        lam_k = lam[rd.factor_slice(k)]
-        mu = tuple(c + 1 for c in lam_k)
-        hit = _factor_blocking(f, mu)
-        if hit is not None:
-            pair, s = hit
-            witness = BlockingCoroot(
-                factor=k,
-                pair=RootPair(
-                    root=rd.embed(k, pair.root),
-                    simple_coords=rd.embed(k, pair.simple_coords),
-                    coroot=rd.embed(k, pair.coroot),
-                ),
-                pairing_mod_h=s,
-            )
-            if blocking is None:
-                blocking = witness
-            factor_reports.append(
-                FactorCharValue(
-                    value=0, regular=False, sign_parity=None,
-                    endpoint_is_rho=None, steps=None,
-                    blocking_coroot=witness,
-                )
-            )
-            value = 0
-            continue
-        endpoint, sign, steps = _alcove_reduce_factor(f, mu)
-        if endpoint != f.rho:
-            raise _endpoint_violation(rd, mu, endpoint)
-        assert sign == (-1) ** (steps % 2)
-        factor_reports.append(
-            FactorCharValue(
-                value=sign, regular=True, sign_parity=steps % 2,
-                endpoint_is_rho=True, steps=steps, blocking_coroot=None,
-            )
-        )
-        value *= sign
-        total_steps += steps
+        hit = _walls_or_blocking(f, [c + 1 for c in lam[rd.factor_slice(k)]])
+        if isinstance(hit, int):
+            factors.append(FactorCharValue(
+                value=-1 if hit % 2 else 1, regular=True, sign_parity=hit % 2,
+                endpoint_is_rho=True, steps=hit, blocking_coroot=None,
+            ))
+        else:
+            factors.append(FactorCharValue(
+                value=0, regular=False, sign_parity=None,
+                endpoint_is_rho=None, steps=None, blocking_coroot=_blocking_coroot(rd, k, hit),
+            ))
+    blocking = next((fv.blocking_coroot for fv in factors if not fv.regular), None)
     regular = blocking is None
+    parity = sum(fv.steps for fv in factors) % 2 if regular else None
     return CharReport(
-        value=value if regular else 0,
+        value=(-1 if parity else 1) if regular else 0,
         regular=regular,
-        sign_parity=total_steps % 2 if regular else None,
+        sign_parity=parity,
         endpoint_is_rho=True if regular else None,
         blocking_coroot=blocking,
-        factors=tuple(factor_reports),
+        factors=tuple(factors),
     )
 
 
@@ -282,24 +253,29 @@ class CentralCharacter:
         return {"values": list(self.values), "order": self.order}
 
 
-def rho_central_character(rd: RootDatum) -> CentralCharacter:
+def _rho_on_center(center: FiniteAbelianGroup, rho: Weight, name: str) -> tuple[int, ...]:
     """rho on the center: project rho into P/Q and read off +-1 per
     generator.  The order always divides 2 (twice rho is a sum of
     roots); anything else raises TheoremViolation."""
-    residues = rd.center.project(rd.rho)
+    residues = center.project(rho)
     values = []
-    for r_i, d_i in zip(residues, rd.center.invariant_factors):
+    for r_i, d_i in zip(residues, center.invariant_factors):
         if r_i == 0:
             values.append(1)
         elif 2 * r_i == d_i:
             values.append(-1)
         else:
             raise TheoremViolation(
-                f"rho has order > 2 on the center of {rd.type_string}",
+                f"rho has order > 2 on the center of {name}",
                 witness={"residues": list(residues)},
             )
-    order = 2 if any(v == -1 for v in values) else 1
-    return CentralCharacter(values=tuple(values), order=order)
+    return tuple(values)
+
+
+def rho_central_character(rd: RootDatum) -> CentralCharacter:
+    """rho on the center of rd, +-1 per canonical generator of P/Q."""
+    values = _rho_on_center(rd.center, rd.rho, rd.type_string)
+    return CentralCharacter(values=values, order=2 if -1 in values else 1)
 
 
 @dataclass(frozen=True)
@@ -338,7 +314,7 @@ def coxeter_lift_order(rd: RootDatum) -> tuple[LiftOrderReport, ...]:
             if all(r == 0 for r in f.center.project(tuple(k for _ in range(f.rank))))
         )
         lift_order = h * multiplier
-        trivial = all(v == 1 for v in _factor_central_values(f))
+        trivial = all(v == 1 for v in _rho_on_center(f.center, f.rho, f.name))
         matches = lift_order == h
         if matches != trivial:
             raise TheoremViolation(
@@ -351,19 +327,6 @@ def coxeter_lift_order(rd: RootDatum) -> tuple[LiftOrderReport, ...]:
             )
         )
     return tuple(reports)
-
-
-def _factor_central_values(f: SimpleFactor) -> tuple[int, ...]:
-    residues = f.center.project(f.rho)
-    out = []
-    for r_i, d_i in zip(residues, f.center.invariant_factors):
-        if r_i == 0:
-            out.append(1)
-        elif 2 * r_i == d_i:
-            out.append(-1)
-        else:
-            raise TheoremViolation(f"rho has order > 2 on the center of {f.name}")
-    return tuple(out)
 
 
 def fs_indicator(rd: RootDatum, lam: Sequence[int]) -> int:

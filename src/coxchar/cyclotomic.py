@@ -104,10 +104,6 @@ class CyclotomicInt:
     def one(cls, n: int) -> "CyclotomicInt":
         return cls.from_poly(n, [1])
 
-    @classmethod
-    def from_int(cls, n: int, value: int) -> "CyclotomicInt":
-        return cls.from_poly(n, [value])
-
     def __bool__(self) -> bool:
         return any(self.coeffs)
 

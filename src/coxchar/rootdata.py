@@ -212,7 +212,6 @@ class SimpleFactor:
     family: str
     rank: int
     cartan: IntMatrix
-    symmetrizer: tuple[int, ...]
     positive: tuple[RootPair, ...]
     coxeter_number: int
     center: FiniteAbelianGroup
@@ -252,6 +251,10 @@ def _build_factor(family: str, rank: int) -> SimpleFactor:
         raise AssertionError("highest coroot height != h - 1")
     if len(by_coht) > 1 and by_coht[-2].coroot_height == h - 1:
         raise AssertionError("highest coroot not unique")
+    # with height h - 1, this makes rho the only integral point of the open
+    # fundamental alcove: x_j >= 1 and <x, gamma_vee> < h force x = rho
+    if min(highest.coroot) < 1:
+        raise AssertionError("highest coroot has a zero coordinate")
 
     two_rho_check = tuple(
         sum(p.coroot[j] for p in positive) for j in range(rank)
@@ -266,7 +269,6 @@ def _build_factor(family: str, rank: int) -> SimpleFactor:
         family=family,
         rank=rank,
         cartan=cartan,
-        symmetrizer=tuple(d),
         positive=tuple(positive),
         coxeter_number=h,
         center=center,
@@ -392,6 +394,3 @@ def pairing(weight: Sequence, coweight: Sequence):
         raise ValueError("rank mismatch in pairing")
     return sum(a * b for a, b in zip(weight, coweight))
 
-
-def is_dominant(lam: Sequence[int]) -> bool:
-    return all(c >= 0 for c in lam)

@@ -86,10 +86,6 @@ def duality_involution(rd: RootDatum, lam: Sequence[int]) -> Weight:
     return dominant
 
 
-def weyl_order(rd: RootDatum) -> int:
-    return rd.weyl_order
-
-
 def enumerate_weyl(
     rd: RootDatum, cap: int | None = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[WeylElement]:

@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from coxchar import character
 from coxchar.character import (
     alcove_reduce,
     char_at_coxeter,
@@ -14,7 +17,7 @@ from coxchar.character import (
 )
 from coxchar.errors import InternalCheckError
 from coxchar.rootdata import build
-from coxchar.weyl import duality_involution
+from coxchar.weyl import duality_involution, make_dominant
 
 ALL_SIMPLE = (
     [f"A{n}" for n in range(1, 9)]
@@ -77,6 +80,63 @@ class TestAlcoveReduce:
                 assert endpoint == rd.rho
                 assert sign == (-1) ** (steps % 2)
 
+    def test_walk_longer_than_the_wall_count_raises(self, monkeypatch):
+        rd = build("B3")
+        mu = (1, 2, 5)
+        assert alcove_reduce(rd, mu)[2] == 5
+        real = character._walls_or_blocking
+        monkeypatch.setattr(character, "_walls_or_blocking", lambda f, mu: real(f, mu) - 1)
+        with pytest.raises(InternalCheckError, match="more than the 4 steps"):
+            alcove_reduce(rd, mu)
+
+    def test_singular_weight_raises(self):
+        with pytest.raises(InternalCheckError, match="0 mod 3"):
+            alcove_reduce(build("A2"), (2, 1))
+
+    def test_large_walk_reaches_rho(self):
+        # past the 10**6 steps the old iteration cap allowed
+        assert alcove_reduce(build("A1"), (2_000_003,)) == ((1,), -1, 1_000_001)
+
+
+def _regular_mu(rd, n):
+    """A strictly dominant weight regular mod h: the dominant form of
+    rho + sum_j h_j n_j alpha_j, a point of the W x hQ orbit of rho."""
+    hs = [f.coxeter_number for f in rd.factors for _ in range(f.rank)]
+    x = [1 + sum(hs[j] * n[j] * rd.cartan[i][j] for j in range(rd.rank)) for i in range(rd.rank)]
+    return make_dominant(rd, x)[0]
+
+
+TYPES = st.sampled_from(ALL_SIMPLE + ["B2xG2"])
+SHIFTS = st.lists(st.integers(-3, 3), min_size=8, max_size=10)
+
+
+class TestWallCount:
+    @given(t=TYPES, n=SHIFTS)
+    def test_walk_length_is_the_wall_count(self, t, n):
+        rd = build(t)
+        mu = _regular_mu(rd, n)
+        rep = char_at_coxeter(rd, [c - 1 for c in mu])
+        assert rep.regular
+        steps = sum(f.steps for f in rep.factors)
+        assert alcove_reduce(rd, mu) == (rd.rho, rep.value, steps)
+
+    @given(t=TYPES, n=SHIFTS, box=SHIFTS, regular=st.booleans())
+    def test_translation_by_h_alpha_adds_two_walls(self, t, n, box, regular):
+        # sum_beta <alpha_j, beta_vee> = <alpha_j, 2 rho_vee> = 2
+        rd = build(t)
+        hs = [f.coxeter_number for f in rd.factors for _ in range(f.rank)]
+        if regular:  # adding h * 2rho (all coordinates 2h) keeps mu regular
+            lam = [c - 1 + 4 * h for c, h in zip(_regular_mu(rd, n), hs)]
+        else:
+            lam = [3 * h + abs(b) for b, h in zip(box, hs)]
+        rep = char_at_coxeter(rd, lam)
+        for j in range(rd.rank):
+            shifted = [c + hs[j] * rd.cartan[i][j] for i, c in enumerate(lam)]
+            rep_j = char_at_coxeter(rd, shifted)
+            assert rep_j.value == rep.value
+            if rep.regular:
+                assert sum(f.steps for f in rep_j.factors) == sum(f.steps for f in rep.factors) + 2
+
 
 class TestCharAtCoxeter:
     def test_trivial_rep_is_one_everywhere(self):
@@ -88,6 +148,10 @@ class TestCharAtCoxeter:
         rd = build("A1")
         values = [char_at_coxeter(rd, (k,)).value for k in range(12)]
         assert values == [1, 0, -1, 0] * 3
+
+    def test_cost_does_not_grow_with_lambda(self):
+        rep = char_at_coxeter(build("A2"), (10**12, 10**12))
+        assert (rep.value, rep.factors[0].steps) == (-1, 1333333333333)
 
     def test_a2_standard_and_adjoint(self):
         rd = build("A2")

@@ -74,6 +74,18 @@ class TestChar:
         assert code == EXIT_OK
         assert doc["char"]["value"] == 1
 
+    def test_large_weight_gets_a_value(self, capsys):
+        code, doc, _ = run_json(capsys, "char", "A1", "5000000")
+        assert code == EXIT_OK
+        assert doc["char"]["value"] == 1
+        assert doc["char"]["factors"][0]["steps"] == 2500000
+
+    def test_large_weight_agrees_with_oracle(self, capsys):
+        code, doc, _ = run_json(capsys, "char", "A2", "1000000", "1000000", "--oracle")
+        assert code == EXIT_OK
+        assert doc["char"]["value"] == -1
+        assert doc["agrees"] is True
+
     def test_wrong_rank_exit_2(self, capsys):
         code, _, err = run(capsys, "char", "A2", "1")
         assert code == EXIT_USAGE

@@ -123,6 +123,29 @@ class TestInvariants:
         assert f.highest_coroot.coroot_height == f.coxeter_number - 1
 
     @pytest.mark.parametrize("t", ALL_SIMPLE)
+    def test_rho_is_the_only_integral_point_of_the_open_alcove(self, t):
+        # x_j >= 1 and <x, beta_vee> < h for every positive coroot, found
+        # by a depth-first search that fills coordinates left to right and
+        # prunes as soon as the unfilled ones, all at their least value 1,
+        # push some pairing up to h
+        coroots = [p.coroot for p in build(t).positive_roots()]
+        r = len(coroots[0])
+        h = 2 * len(coroots) // r
+        points = []
+
+        def fill(prefix):
+            if len(prefix) == r:
+                points.append(tuple(prefix))
+                return
+            x = 1
+            while all(pairing(prefix + [x] + [1] * (r - len(prefix) - 1), c) < h for c in coroots):
+                fill(prefix + [x])
+                x += 1
+
+        fill([])
+        assert points == [(1,) * r]
+
+    @pytest.mark.parametrize("t", ALL_SIMPLE)
     def test_every_root_pairs_two_with_own_coroot(self, t):
         for p in build(t).positive_roots():
             assert pairing(p.root, p.coroot) == 2
