@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -248,7 +249,7 @@ class FiniteAbelianGroup:
     ambient_rank: int
     invariant_factors: tuple[int, ...]
     _kept: tuple[tuple[int, int], ...]  # (row index in U, modulus)
-    _u: IntMatrix
+    _rows: tuple[tuple[tuple[int, ...], int], ...]  # (kept row of U, modulus)
     _u_inv: IntMatrix
 
     @property
@@ -265,8 +266,9 @@ class FiniteAbelianGroup:
         return not self.invariant_factors
 
     def project(self, v: Sequence[int]) -> tuple[int, ...]:
-        w = self._u.apply(v)
-        return tuple(w[i] % d for i, d in self._kept)
+        if len(v) != self.ambient_rank:
+            raise ValueError("vector length mismatch")
+        return tuple(sum(map(mul, row, v)) % d for row, d in self._rows)
 
     def section(self, residues: Sequence[int]) -> tuple[int, ...]:
         """An ambient vector mapping onto the given residue tuple."""
@@ -305,6 +307,6 @@ def quotient(ambient_rank: int, sublattice_basis: IntMatrix) -> FiniteAbelianGro
         ambient_rank=ambient_rank,
         invariant_factors=tuple(di for _, di in kept),
         _kept=kept,
-        _u=u,
+        _rows=tuple((u[i], di) for i, di in kept),
         _u_inv=u.inverse_unimodular(),
     )

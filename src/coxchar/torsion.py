@@ -5,24 +5,28 @@ n-torsion of the kernel-of-multiplication construction is presented two
 ways: as the coweight-side quotient P_vee / n Q_vee and as the
 weight-side character group P / n Q.  The two presentations are
 abstractly isomorphic, Weyl-equivariantly; ``duality_report`` checks
-this executable content, and ``classify_regular_orbits`` enumerates
-classes to exhibit the distinguished regular orbit at n = h.
+this executable content, and ``classify_regular_orbits`` counts the
+regular Weyl orbits on P / n Q to exhibit the distinguished one at n = h.
 
-Class representatives live in weight coordinates; the canonical key of
-a class is its residue tuple under the invariant-factor projection, so
-there is no coset-representative ambiguity anywhere.
+A class is its residue tuple under the invariant-factor projection, so
+there is no coset-representative ambiguity anywhere.  The census stays
+in residue coordinates: regularity is a set of linear forms on residues,
+each simple reflection is a residue matrix, and only regular orbits are
+walked.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
-from typing import Optional
+from operator import mul
+from typing import Optional, Sequence
 
-from .errors import CapExceeded
+from .errors import CapExceeded, InternalCheckError
 from .lattice import FiniteAbelianGroup, quotient
-from .rootdata import RootDatum
+from .rootdata import RootDatum, pairing
 from .weyl import _reflect
 
 DEFAULT_CLASS_CAP = 10**6
@@ -153,13 +157,74 @@ class OrbitReport:
         }
 
 
+def _act(
+    m: Sequence[Sequence[int]], x: Sequence[int], factors: Sequence[int]
+) -> tuple[int, ...]:
+    """Apply a residue matrix to a residue tuple, row b reduced mod d_b."""
+    return tuple(sum(map(mul, row, x)) % d for row, d in zip(m, factors))
+
+
+def _residue_reflections(
+    rd: RootDatum, group: FiniteAbelianGroup, gens: Sequence[tuple[int, ...]]
+) -> list[tuple[tuple[int, ...], ...]]:
+    """The matrix of each simple reflection on residue tuples of ``group``.
+
+    Column a of the j-th matrix is the class of s_j applied to gens[a],
+    the section of the a-th unit residue.
+    """
+    return [
+        tuple(zip(*(group.project(_reflect(rd.cartan, g, j)) for g in gens)))
+        for j in range(rd.rank)
+    ]
+
+
+def _regular_residues(
+    factors: Sequence[int], forms: Sequence[tuple[int, ...]], n: int
+) -> list[tuple[int, ...]]:
+    """Residue tuples, in product order, on which no form vanishes mod n.
+
+    For each prefix of all but the last residue, a form forbids the last
+    residues t with value(prefix) + c_last * t = 0 mod n; these are
+    precomputed as bitmasks indexed by value(prefix), OR-ed over the forms,
+    and the scan of a prefix stops as soon as every t is forbidden.
+    """
+    if not factors:
+        return [] if forms else [()]
+    *head, last = factors
+    full = (1 << last) - 1
+    table = [
+        (c[:-1], [sum(1 << t for t in range(last) if (v + c[-1] * t) % n == 0)
+                  for v in range(n)])
+        for c in forms
+    ]
+    out = []
+    for prefix in product(*map(range, head)):
+        mask = 0
+        for cs, masks in table:
+            mask |= masks[sum(map(mul, cs, prefix)) % n]
+            if mask == full:
+                break
+        else:
+            out.extend(prefix + (t,) for t in range(last) if not mask >> t & 1)
+    return out
+
+
 def classify_regular_orbits(
     rd: RootDatum, n: int, cap: int = DEFAULT_CLASS_CAP
 ) -> OrbitReport:
-    """Enumerate P/nQ, group classes into Weyl orbits, and count the
-    regular ones, flagging those whose image in P/nP has order n.
+    """Count the regular Weyl orbits on P/nQ, flagging those whose image
+    in P/nP has order n.
 
-    A class is regular when no positive-coroot pairing vanishes mod n.
+    Linear forms on residues; only regular orbits are walked.  A class is
+    regular when no positive-coroot pairing vanishes mod n; with g_a the
+    section of the a-th unit residue, the pairing of the class r with
+    beta_vee is the linear form sum_a r_a <g_a, beta_vee> mod n.  The
+    regular set is W-stable, so the orbit walk starts from regular classes
+    only, with each simple reflection acting as a residue matrix, and
+    holds no more than the regular classes.  A residue matrix that is not
+    an involution, or that sends a regular class to a singular one, raises
+    InternalCheckError.
+
     Image order of a class with representative x is n / gcd(n, coords of
     x), the order of x in P/nP; it is constant on orbits.  At n = h
     exactly one regular orbit has image order h and it contains [rho].
@@ -171,61 +236,54 @@ def classify_regular_orbits(
         raise CapExceeded(
             f"{rd.type_string} at n={n}: {group.order} classes exceed the cap {cap}"
         )
-    coroots = [p.coroot for p in rd.positive_roots()]
-    r = rd.rank
+    factors = group.invariant_factors
+    units = [tuple(int(a == b) for b in range(len(factors))) for a in range(len(factors))]
+    gens = [group.section(u) for u in units]
+    forms = list(dict.fromkeys(
+        tuple(pairing(g, p.coroot) % n for g in gens) for p in rd.positive_roots()
+    ))
+    mats = _residue_reflections(rd, group, gens)
+    for j, m in enumerate(mats):
+        for u in units:
+            if _act(m, _act(m, u, factors), factors) != u:
+                raise InternalCheckError(
+                    f"{rd.type_string} at n={n}: the residue matrix of s_{j + 1} "
+                    f"does not square to the identity on the class {u}"
+                )
 
-    def is_regular(x: tuple[int, ...]) -> bool:
-        return all(sum(a * b for a, b in zip(x, cor)) % n != 0 for cor in coroots)
-
-    def image_order(x: tuple[int, ...]) -> int:
-        g = n
-        for c in x:
-            g = gcd(g, c)
-        return n // g
-
-    # enumerate residue tuples; orbits by BFS under simple reflections
-    from itertools import product as iproduct
-
+    # walked[c] is False until the orbit of the regular class c is walked
+    walked = dict.fromkeys(_regular_residues(factors, forms, n), False)
     rho_key = group.project(rd.rho)
-    seen: set[tuple[int, ...]] = set()
-    total = 0
-    regular_classes = 0
     regular_orbits = 0
     distinguished = 0
     rho_in_distinguished = False
-    for residues in iproduct(*(range(d) for d in group.invariant_factors)):
-        total += 1
-        if residues in seen:
+    for start, done in walked.items():
+        if done:
             continue
-        rep = group.section(residues)
-        orbit = {residues}
-        frontier = [rep]
-        contains_rho = residues == rho_key
-        while frontier:
-            x = frontier.pop()
-            for j in range(r):
-                y = _reflect(rd.cartan, x, j)
-                key = group.project(y)
-                if key not in orbit:
-                    orbit.add(key)
-                    frontier.append(y)
-                    if key == rho_key:
-                        contains_rho = True
-        seen |= orbit
-        if is_regular(rep):
-            regular_classes += len(orbit)
-            regular_orbits += 1
-            if image_order(rep) == n:
-                distinguished += 1
-                if contains_rho:
-                    rho_in_distinguished = True
-    assert total == group.order
+        walked[start] = True
+        orbit = [start]
+        for x in orbit:
+            for j, m in enumerate(mats):
+                y = _act(m, x, factors)
+                seen = walked.get(y)
+                if seen is None:
+                    raise InternalCheckError(
+                        f"{rd.type_string} at n={n}: s_{j + 1} maps the regular "
+                        f"class {x} to the singular class {y}"
+                    )
+                if not seen:
+                    walked[y] = True
+                    orbit.append(y)
+        regular_orbits += 1
+        if gcd(n, *group.section(start)) == 1:  # image order n in P/nP
+            distinguished += 1
+            rho_in_distinguished |= rho_key in orbit
 
     return OrbitReport(
         type_string=rd.type_string,
         n=n,
-        total_classes=total,
-        regular_classes=regular_classes,
+        total_classes=group.order,
+        regular_classes=len(walked),
         regular_orbits=regular_orbits,
         regular_orbits_with_image_order_n=distinguished,
         rho_in_distinguished_orbit=rho_in_distinguished and distinguished == 1,

@@ -170,6 +170,81 @@ class TestVerify:
         assert "696729600" in err
 
 
+TORSION_A5_6 = """\
+{
+  "duality": {
+    "action_well_defined": true,
+    "invariant_factors_coweight_side": [
+      6,
+      6,
+      6,
+      6,
+      36
+    ],
+    "invariant_factors_weight_side": [
+      6,
+      6,
+      6,
+      6,
+      36
+    ],
+    "isomorphic": true,
+    "n": 6,
+    "passed": true,
+    "trials": 1000,
+    "type": "A5",
+    "witness": null
+  },
+  "orbits": {
+    "n": 6,
+    "regular_classes": 720,
+    "regular_orbits": 1,
+    "regular_orbits_with_image_order_n": 1,
+    "rho_in_distinguished_orbit": true,
+    "total_classes": 46656,
+    "type": "A5"
+  },
+  "schema_version": "1"
+}
+"""
+
+TORSION_F4_12 = """\
+{
+  "duality": {
+    "action_well_defined": true,
+    "invariant_factors_coweight_side": [
+      12,
+      12,
+      12,
+      12
+    ],
+    "invariant_factors_weight_side": [
+      12,
+      12,
+      12,
+      12
+    ],
+    "isomorphic": true,
+    "n": 12,
+    "passed": true,
+    "trials": 1000,
+    "type": "F4",
+    "witness": null
+  },
+  "orbits": {
+    "n": 12,
+    "regular_classes": 1152,
+    "regular_orbits": 1,
+    "regular_orbits_with_image_order_n": 1,
+    "rho_in_distinguished_orbit": true,
+    "total_classes": 20736,
+    "type": "F4"
+  },
+  "schema_version": "1"
+}
+"""
+
+
 class TestTorsion:
     def test_a1_n2(self, capsys):
         code, doc, _ = run_json(capsys, "torsion", "A1", "2")
@@ -186,6 +261,14 @@ class TestTorsion:
     def test_a2_n1(self, capsys):
         code, doc, _ = run_json(capsys, "torsion", "A2", "1")
         assert doc["orbits"]["regular_orbits"] == 0
+
+    @pytest.mark.parametrize("t, n, expected", [
+        ("A5", "6", TORSION_A5_6), ("F4", "12", TORSION_F4_12)
+    ])
+    def test_stdout_is_pinned(self, capsys, t, n, expected):
+        code, out, _ = run(capsys, "torsion", t, n)
+        assert code == EXIT_OK
+        assert out == expected
 
 
 class TestCheckAll:
@@ -209,6 +292,8 @@ SCHEMA_CASES = [
     ("verify", ["verify", "A2xG2", "--max-coord", "1"]),
     ("verify", ["verify", "F4", "--random", "5", "--seed", "7"]),
     ("torsion", ["torsion", "A2", "3"]),
+    ("torsion", ["torsion", "A5", "6"]),
+    ("torsion", ["torsion", "F4", "12"]),
     ("check_all", ["check-all"]),
 ]
 

@@ -1,16 +1,20 @@
 import random
+from itertools import product
+from math import gcd
 
 import pytest
 
-from coxchar.errors import CapExceeded
+from coxchar import torsion
+from coxchar.errors import CapExceeded, InternalCheckError
 from coxchar.rootdata import build, pairing
 from coxchar.torsion import (
+    OrbitReport,
     char_group_of_torsion,
     classify_regular_orbits,
     duality_report,
     torsion_points,
 )
-from coxchar.weyl import enumerate_weyl
+from coxchar.weyl import _reflect, enumerate_weyl
 
 
 class TestPresentations:
@@ -102,6 +106,116 @@ class TestClassify:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             classify_regular_orbits(build("E8"), 30)
+
+    @pytest.mark.parametrize("t,n", [("D5", 8), ("B5", 10), ("C5", 10), ("A6", 7)])
+    def test_census_near_the_cap(self, t, n):
+        # 131,072 / 200,000 / 200,000 / 823,543 classes: one free regular orbit
+        rd = build(t)
+        o = classify_regular_orbits(rd, n)
+        assert o.total_classes == n**rd.rank * rd.center.order
+        assert o.regular_orbits == 1
+        assert o.regular_classes == rd.weyl_order
+        assert o.regular_orbits_with_image_order_n == 1
+        assert o.rho_in_distinguished_orbit
+
+
+def reference_classify(rd, n):
+    """Weight-coordinate BFS over every W-orbit of P/nQ, singular or not."""
+    group = char_group_of_torsion(rd, n)
+    coroots = [p.coroot for p in rd.positive_roots()]
+    rho_key = group.project(rd.rho)
+    seen = set()
+    total = regular_classes = regular_orbits = distinguished = 0
+    rho_in_distinguished = False
+    for residues in product(*(range(d) for d in group.invariant_factors)):
+        total += 1
+        if residues in seen:
+            continue
+        rep = group.section(residues)
+        orbit = {residues}
+        frontier = [rep]
+        while frontier:
+            x = frontier.pop()
+            for j in range(rd.rank):
+                y = _reflect(rd.cartan, x, j)
+                key = group.project(y)
+                if key not in orbit:
+                    orbit.add(key)
+                    frontier.append(y)
+        seen |= orbit
+        if all(pairing(rep, c) % n != 0 for c in coroots):
+            regular_classes += len(orbit)
+            regular_orbits += 1
+            if gcd(n, *rep) == 1:
+                distinguished += 1
+                rho_in_distinguished |= rho_key in orbit
+    assert total == group.order
+    return OrbitReport(
+        type_string=rd.type_string,
+        n=n,
+        total_classes=total,
+        regular_classes=regular_classes,
+        regular_orbits=regular_orbits,
+        regular_orbits_with_image_order_n=distinguished,
+        rho_in_distinguished_orbit=rho_in_distinguished and distinguished == 1,
+    )
+
+
+DIFFERENTIAL_TYPES = [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4",
+    "A1xA1", "A2xG2", "B2xA1",
+]
+
+
+@pytest.mark.parametrize("t", DIFFERENTIAL_TYPES)
+def test_classify_matches_reference(t):
+    rd = build(t)
+    h = max(f.coxeter_number for f in rd.factors)
+    checked = 0
+    for n in range(1, h + 3):
+        if n**rd.rank * rd.center.order > 60_000:
+            continue
+        assert classify_regular_orbits(rd, n) == reference_classify(rd, n), n
+        checked += 1
+    assert checked >= h
+
+
+@pytest.mark.parametrize("t", ["E8", "F4", "G2"])
+def test_trivial_group_at_n1(t):
+    rd = build(t)
+    assert char_group_of_torsion(rd, 1).invariant_factors == ()
+    o = classify_regular_orbits(rd, 1)
+    assert o == reference_classify(rd, 1)
+    assert (o.total_classes, o.regular_classes, o.regular_orbits) == (1, 0, 0)
+
+
+def corrupt_entry(monkeypatch, j, b, a, value):
+    """Make entry (b, a) of the j-th residue reflection matrix ``value``."""
+    original = torsion._residue_reflections
+
+    def patched(*args):
+        mats = original(*args)
+        rows = [list(row) for row in mats[j]]
+        rows[b][a] = value
+        mats[j] = tuple(map(tuple, rows))
+        return mats
+
+    monkeypatch.setattr(torsion, "_residue_reflections", patched)
+
+
+class TestGuards:
+    def test_matrix_not_an_involution(self, monkeypatch):
+        # B2 at n=4: s_1 acts on (Z/4 x Z/8) as ((3, 0), (2, 1))
+        corrupt_entry(monkeypatch, 0, 0, 0, 1)
+        with pytest.raises(InternalCheckError, match=r"B2 at n=4: .* s_1 .*\(1, 0\)"):
+            classify_regular_orbits(build("B2"), 4)
+
+    def test_regular_class_sent_to_a_singular_one(self, monkeypatch):
+        # G2 at n=6: s_1 acts on (Z/6)^2 as ((5, 5), (0, 1)); with entry (0, 1)
+        # zeroed it is still an involution but no longer preserves regularity
+        corrupt_entry(monkeypatch, 0, 0, 1, 0)
+        with pytest.raises(InternalCheckError, match=r"G2 at n=6: s_1 maps the regular class"):
+            classify_regular_orbits(build("G2"), 6)
 
 
 class TestRegularityIsWeylInvariant:
