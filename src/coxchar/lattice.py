@@ -236,6 +236,13 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
+def apply_mod(
+    rows: Sequence[Sequence[int]], moduli: Sequence[int], v: Sequence[int]
+) -> tuple[int, ...]:
+    """Each row paired with v, reduced mod the matching modulus."""
+    return tuple(sum(map(mul, row, v)) % d for row, d in zip(rows, moduli))
+
+
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     """A quotient ZZ^rank / L in invariant-factor form, with maps.
@@ -248,8 +255,8 @@ class FiniteAbelianGroup:
 
     ambient_rank: int
     invariant_factors: tuple[int, ...]
-    _kept: tuple[tuple[int, int], ...]  # (row index in U, modulus)
-    _rows: tuple[tuple[tuple[int, ...], int], ...]  # (kept row of U, modulus)
+    _kept: tuple[int, ...]  # index in U of the row for each invariant factor
+    _rows: tuple[tuple[int, ...], ...]  # those rows of U
     _u_inv: IntMatrix
 
     @property
@@ -268,14 +275,14 @@ class FiniteAbelianGroup:
     def project(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.ambient_rank:
             raise ValueError("vector length mismatch")
-        return tuple(sum(map(mul, row, v)) % d for row, d in self._rows)
+        return apply_mod(self._rows, self.invariant_factors, v)
 
     def section(self, residues: Sequence[int]) -> tuple[int, ...]:
         """An ambient vector mapping onto the given residue tuple."""
         if len(residues) != len(self._kept):
             raise ValueError("residue tuple length mismatch")
         full = [0] * self.ambient_rank
-        for (i, d), r in zip(self._kept, residues):
+        for i, d, r in zip(self._kept, self.invariant_factors, residues):
             full[i] = r % d
         return self._u_inv.apply(full)
 
@@ -284,7 +291,7 @@ class FiniteAbelianGroup:
 
         if len(residues) != len(self._kept):
             raise ValueError("residue tuple length mismatch")
-        return lcm(1, *(d // gcd(d, r) for (_, d), r in zip(self._kept, residues)))
+        return lcm(1, *(d // gcd(d, r) for d, r in zip(self.invariant_factors, residues)))
 
 
 def quotient(ambient_rank: int, sublattice_basis: IntMatrix) -> FiniteAbelianGroup:
@@ -306,7 +313,7 @@ def quotient(ambient_rank: int, sublattice_basis: IntMatrix) -> FiniteAbelianGro
     return FiniteAbelianGroup(
         ambient_rank=ambient_rank,
         invariant_factors=tuple(di for _, di in kept),
-        _kept=kept,
-        _rows=tuple((u[i], di) for i, di in kept),
+        _kept=tuple(i for i, _ in kept),
+        _rows=tuple(u[i] for i, _ in kept),
         _u_inv=u.inverse_unimodular(),
     )

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from math import gcd
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import CapExceeded, InternalCheckError
-from .lattice import FiniteAbelianGroup, quotient
+from .lattice import FiniteAbelianGroup, apply_mod, quotient
 from .rootdata import RootDatum, pairing
 from .weyl import _reflect
 
@@ -157,13 +157,6 @@ class OrbitReport:
         }
 
 
-def _act(
-    m: Sequence[Sequence[int]], x: Sequence[int], factors: Sequence[int]
-) -> tuple[int, ...]:
-    """Apply a residue matrix to a residue tuple, row b reduced mod d_b."""
-    return tuple(sum(map(mul, row, x)) % d for row, d in zip(m, factors))
-
-
 def _residue_reflections(
     rd: RootDatum, group: FiniteAbelianGroup, gens: Sequence[tuple[int, ...]]
 ) -> list[tuple[tuple[int, ...], ...]]:
@@ -180,33 +173,41 @@ def _residue_reflections(
 
 def _regular_residues(
     factors: Sequence[int], forms: Sequence[tuple[int, ...]], n: int
-) -> list[tuple[int, ...]]:
+) -> Iterator[tuple[int, ...]]:
     """Residue tuples, in product order, on which no form vanishes mod n.
 
-    For each prefix of all but the last residue, a form forbids the last
-    residues t with value(prefix) + c_last * t = 0 mod n; these are
-    precomputed as bitmasks indexed by value(prefix), OR-ed over the forms,
-    and the scan of a prefix stops as soon as every t is forbidden.
+    For each prefix of all but the last residue, a form c with value v on
+    the prefix forbids the last residues t with v + c_last * t = 0 mod n.
+    With g = gcd(c_last, n) and m = n / g these are none when g does not
+    divide v, and otherwise the progression of step m from the root t0,
+    cleared from the row of last residues in one slice.  When m = 1 the
+    whole row goes, so those forms come first and end the prefix early.
+    The cost is linear in the number of classes.
     """
     if not factors:
-        return [] if forms else [()]
+        if not forms:
+            yield ()
+        return
     *head, last = factors
-    full = (1 << last) - 1
-    table = [
-        (c[:-1], [sum(1 << t for t in range(last) if (v + c[-1] * t) % n == 0)
-                  for v in range(n)])
-        for c in forms
-    ]
-    out = []
+    steps = []
+    for c in forms:
+        g = gcd(c[-1], n)
+        m = n // g
+        steps.append((m, g, -pow(c[-1] // g, -1, m), c[:-1]))
+    steps.sort()
+    row = range(last)
     for prefix in product(*map(range, head)):
-        mask = 0
-        for cs, masks in table:
-            mask |= masks[sum(map(mul, cs, prefix)) % n]
-            if mask == full:
+        keep = bytearray(b"\1") * last
+        for m, g, u, cs in steps:
+            v = sum(map(mul, cs, prefix))
+            if v % g:
+                continue
+            if m == 1:
                 break
+            t0 = v // g * u % m
+            keep[t0::m] = bytes(len(row[t0::m]))
         else:
-            out.extend(prefix + (t,) for t in range(last) if not mask >> t & 1)
-    return out
+            yield from (prefix + (t,) for t in compress(row, keep))
 
 
 def classify_regular_orbits(
@@ -245,7 +246,7 @@ def classify_regular_orbits(
     mats = _residue_reflections(rd, group, gens)
     for j, m in enumerate(mats):
         for u in units:
-            if _act(m, _act(m, u, factors), factors) != u:
+            if apply_mod(m, factors, apply_mod(m, factors, u)) != u:
                 raise InternalCheckError(
                     f"{rd.type_string} at n={n}: the residue matrix of s_{j + 1} "
                     f"does not square to the identity on the class {u}"
@@ -264,7 +265,7 @@ def classify_regular_orbits(
         orbit = [start]
         for x in orbit:
             for j, m in enumerate(mats):
-                y = _act(m, x, factors)
+                y = apply_mod(m, factors, x)
                 seen = walked.get(y)
                 if seen is None:
                     raise InternalCheckError(

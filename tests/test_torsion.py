@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 from itertools import product
 from math import gcd
 
@@ -117,6 +119,46 @@ class TestClassify:
         assert o.regular_classes == rd.weyl_order
         assert o.regular_orbits_with_image_order_n == 1
         assert o.rho_in_distinguished_orbit
+
+    def test_a1_at_the_cap_within_budget(self):
+        # Z/2n with n = 31 * 127^2: k is regular unless n | k, orbits {k, -k},
+        # and the orbit has image order n when gcd(k, n) = 1
+        n = 499_999
+        with time_budget(60):
+            o = classify_regular_orbits(build("A1"), n)
+        assert o.total_classes == 2 * n
+        assert o.regular_classes == 2 * n - 2
+        assert o.regular_orbits == n - 1
+        assert o.regular_orbits_with_image_order_n == 30 * 127 * 126
+        assert not o.rho_in_distinguished_orbit
+
+    def test_a2_at_the_cap_within_budget(self):
+        # n = 577 is prime to 3, so P/nQ = P/nP x P/Q; in fundamental-weight
+        # coordinates (a, b) mod n the coroots pair to a, b and a + b
+        n = 577
+        with time_budget(60):
+            o = classify_regular_orbits(build("A2"), n)
+        assert o.total_classes == 3 * n**2
+        assert o.regular_classes == 3 * (n - 1) * (n - 2)
+        assert o.regular_orbits == o.regular_classes // 6
+        assert o.regular_orbits_with_image_order_n == o.regular_orbits
+        assert not o.rho_in_distinguished_orbit
+
+
+@contextmanager
+def time_budget(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def reference_classify(rd, n):
