@@ -14,14 +14,18 @@ lambda = 0, not the product formula the fast path rests on.
 
 Because <w(mu), rho_check> = <mu, w^-1(rho_check)>, the exponents of a
 Weyl sum are the pairings of mu with the signed W-orbit of
-e * rho_check, which does not depend on lambda.  Each factor walks that
-orbit once, on first use: a breadth-first walk over coweights in
-simple-coroot coordinates that raises on a stabilized point, on a sign
-that disagrees on revisit, and on an orbit whose size is not |W|.  Each
-sign class is stored as one big integer per coordinate, its orbit
-points' residues mod N packed into 64-bit fields, so the pairings with
-mu are r big-integer multiply-adds and the Weyl sum is a histogram of
-the 64-bit fields, folded mod N.
+e * rho_check, which does not depend on lambda.  Each factor builds that
+orbit once, on first use, without a Python object per point: along the
+chain of parabolic subgroups W_{<1} < W_{<2} < ... < W, each orbit is
+the union of the blocks d(previous orbit) over a small tree of minimal
+coset representatives d, and each tree edge reflects a whole block of
+packed coordinates at once.  The build raises on a start that is not
+strictly dominant, on an orbit whose size is not |W| or whose sign
+classes are not |W|/2 each, and on an orbit that does not sum to 0.
+Each sign class is stored as one big integer per coordinate, its orbit
+points' residues mod N packed into 16-, 32- or 64-bit fields, so the
+pairings with mu are r big-integer multiply-adds and the Weyl sum is a
+histogram of the fields, folded mod N.
 """
 
 from __future__ import annotations
@@ -47,53 +51,177 @@ FLOAT_SHADOW_TOLERANCE = 1e-6
 SignClass = tuple[int, tuple[int, ...], int]
 
 
-def _walk_signed_orbit(
-    cartan: IntMatrix, start: tuple[int, ...]
-) -> dict[tuple[int, ...], int]:
-    """Signed W-orbit of a coweight in simple-coroot coordinates:
-    point -> det(w) for the w that reaches it.
+# (bits, struct format) of the packed fields, narrowest first
+_FIELD_FORMATS = ((16, "H"), (32, "I"), (64, "Q"))
 
-    Breadth-first with one frontier per word length, so consecutive
-    frontiers have opposite signs.  s_j(x) = x - <alpha_j, x> alpha_j_vee
-    changes coordinate j only, by <alpha_j, x> = sum_k A[k][j] x_k.
-    Raises on a stabilized point (start was not regular) and on a sign
-    that disagrees on revisit.
+
+def _packing(rank: int, n: int, start: Sequence[int]) -> tuple[int, int, str]:
+    """(bias, bits, format) for packing the orbit of ``start`` mod n.
+
+    The bias B is the smallest multiple of n with B >= max|start_i|.
+    Every orbit point of a dominant start has |x_i| <= max|start_i|, so a
+    biased coordinate x_i + B lies in [0, 2B], which the reduction mod n
+    needs below the field's top bit; once reduced, a pairing with mu
+    reduced mod n is at most rank * (n - 1)**2.  The field is the
+    narrowest that holds both.
     """
-    r = len(start)
-    # off-diagonal nonzeros of column j; the diagonal entry is 2
+    bias = -(-max(map(abs, start)) // n) * n
+    need = max(4 * bias, rank * (n - 1) ** 2)
+    for bits, fmt in _FIELD_FORMATS:
+        if need < 1 << bits:
+            return bias, bits, fmt
+    raise InternalCheckError(f"no packed field holds {need} (rank {rank}, conductor {n})")
+
+
+def _coset_tree(cartan: IntMatrix, k: int) -> list[tuple[int, int, int]]:
+    """Minimal coset representatives of W_{<=k} / W_{<k} (nodes 0..k)
+    as a tree: (parent, j, det) per node in breadth-first order, node 0
+    the identity.
+
+    The representatives d are in bijection with the W_{<=k}-orbit of
+    the fundamental coweight omega_k, whose stabilizer is W_{<k}; in
+    pairing coordinates x_i = <alpha_i, d omega_k>, s_j d is a longer
+    representative exactly when x_j > 0 (Humphreys, *Reflection Groups
+    and Coxeter Groups* 1.10), and det(d) = (-1)^length.
+    """
+    r = cartan.rows
+    first = tuple(int(i == k) for i in range(r))
+    index = {first: 0}
+    points = [first]
+    dets = [1]
+    tree = []
+    for x in points:  # grows while it is read: breadth-first
+        for j in range(k + 1):
+            if x[j] > 0:
+                y = tuple(x[i] - cartan[j][i] * x[j] for i in range(r))
+                if y not in index:
+                    index[y] = len(points)
+                    points.append(y)
+                    dets.append(-dets[index[x]])
+                    tree.append((index[x], j, dets[-1]))
+    return tree
+
+
+def _reflect(
+    block: list[int], j: int, col: tuple[tuple[int, int], ...], shift: int
+) -> list[int]:
+    """s_j applied to every packed point of a block: only coordinate j
+    changes, x_j <- -x_j - sum_{i != j} A[i][j] x_i.  On biased fields
+    X = x + B that is X_j <- B * (2 + sum_{i != j} A[i][j]) - X_j - ...,
+    and ``shift`` is that constant in every field."""
+    y = list(block)
+    y[j] = shift - block[j] - sum(a * block[i] for i, a in col)
+    return y
+
+
+def _build_signed_orbit(
+    f: SimpleFactor, start: tuple[int, ...], n: int
+) -> tuple[str, tuple[SignClass, ...]]:
+    """The signed W-orbit of a strictly dominant coweight ``start``
+    (simple-coroot coordinates), split by det(w) and packed mod n:
+    (field format, sign classes).
+
+    W = W^J W_J along the chain of parabolics W_{<1} < W_{<2} < ... < W,
+    so the W_{<=k}-orbit is the union of d(W_{<k}-orbit) over the tree
+    of minimal coset representatives d.  Each orbit is one packed
+    integer per coordinate, the det = +1 points in its first fields and
+    the det = -1 points after them, and each tree edge is one packed
+    reflection of a whole block; no Python object is made per point.
+    The fields carry x + B until the end, where they are reduced mod n
+    once (n divides B).  Raises InternalCheckError on a start that is
+    not strictly dominant, an orbit whose size is not |W| or whose sign
+    classes are not |W|/2 each, and an orbit that does not sum to 0
+    coordinatewise (V has no W-invariants).
+    """
+    cartan = f.cartan
+    r = f.rank
+    pairings = [sum(cartan[i][j] * start[i] for i in range(r)) for j in range(r)]
+    if min(pairings) <= 0:
+        raise InternalCheckError(
+            f"orbit start {start} on {f.name} is not strictly dominant: "
+            f"pairings with the simple roots {pairings}"
+        )
+    bias, bits, fmt = _packing(r, n, start)
+    width = bits // 8
+    order = sys.byteorder
     cols = [
-        (j, tuple((k, cartan[k][j]) for k in range(r) if k != j and cartan[k][j] != 0))
+        tuple((i, cartan[i][j]) for i in range(r) if i != j and cartan[i][j] != 0)
         for j in range(r)
     ]
-    visited = {start: 1}
-    frontier = [start]
-    sign = 1
-    while frontier:
-        sign = -sign
-        nxt = []
-        for x in frontier:
-            y = list(x)
-            for j, col in cols:
-                xj = y[j]
-                p = 2 * xj
-                for k, akj in col:
-                    p += akj * y[k]
-                if p == 0:
-                    raise InternalCheckError(
-                        f"orbit walk found a point {x} stabilized by s_{j + 1}; "
-                        f"the start {start} was not regular"
-                    )
-                y[j] = xj - p
-                yt = tuple(y)
-                y[j] = xj
-                prev = visited.get(yt)
-                if prev is None:
-                    visited[yt] = sign
-                    nxt.append(yt)
-                elif prev != sign:
-                    raise InternalCheckError(f"orbit walk sign inconsistency at {yt}")
-        frontier = nxt
-    return visited
+    block = [x + bias for x in start]
+    size, plus = 1, 1  # points in the block, of which the first `plus` have det +1
+    for k in range(r):
+        ones = _ones(size, width)
+        shifts = [bias * (2 + sum(a for _, a in col)) * ones for col in cols]
+        blocks = [block]
+        dets = [1]
+        for parent, j, det in _coset_tree(cartan, k):
+            blocks.append(_reflect(blocks[parent], j, cols[j], shifts[j]))
+            dets.append(det)
+        cut = plus * width
+        block = []
+        for i in range(r):
+            views = []
+            for b in blocks:
+                views.append(memoryview(_field_bytes(b[i], size * width, f)))
+                b[i] = None  # each coordinate is freed once it is copied
+            first = b"".join(v[:cut] if d > 0 else v[cut:] for v, d in zip(views, dets))
+            rest = b"".join(v[cut:] if d > 0 else v[:cut] for v, d in zip(views, dets))
+            block.append(int.from_bytes(first + rest, order))
+        plus = len(first) // width
+        size = plus + len(rest) // width
+
+    if size != f.weyl_order:
+        raise InternalCheckError(f"orbit size {size} != Weyl order {f.weyl_order} on {f.name}")
+    if 2 * plus != size:
+        raise InternalCheckError(
+            f"orbit sign classes of {f.name} have {plus} and {size - plus} points, "
+            f"not {size // 2} each"
+        )
+    ones = _ones(size, width)
+    cut = plus * width
+    sums, first, rest = [], [], []
+    for i in range(r):
+        x = block[i]
+        block[i] = None
+        sums.append(sum(memoryview(_field_bytes(x, size * width, f)).cast(fmt)) - size * bias)
+        v = memoryview(_field_bytes(_reduce_fields(x, n, bias, bits, ones), size * width, f))
+        first.append(int.from_bytes(v[:cut], order))
+        rest.append(int.from_bytes(v[cut:], order))
+    if any(sums):
+        raise InternalCheckError(
+            f"signed orbit of {f.name} sums to {sums}, not 0: V has no W-invariants"
+        )
+    return fmt, ((1, tuple(first), plus), (-1, tuple(rest), size - plus))
+
+
+def _ones(size: int, width: int) -> int:
+    """1 in each of `size` packed fields of `width` bytes."""
+    return int.from_bytes((1).to_bytes(width, sys.byteorder) * size, sys.byteorder)
+
+
+def _reduce_fields(x: int, n: int, bias: int, bits: int, ones: int) -> int:
+    """Every packed field of x, a value in [0, 2 * bias] below its top
+    bit, reduced mod n (n divides bias) without unpacking.
+
+    Subtracts t = n * 2^s from the fields that hold at least t, for s
+    down to 0; a field holds at least t exactly when adding 2^(bits-1) - t
+    sets its top bit, which cannot carry into the next field.
+    """
+    top = bits - 1
+    for s in reversed(range((2 * bias // n).bit_length())):
+        t = n << s
+        x -= t * (((x + ((1 << top) - t) * ones) >> top) & ones)
+    return x
+
+
+def _field_bytes(x: int, length: int, f: SimpleFactor) -> bytes:
+    """x as `length` bytes; a negative or oversized x means some packed
+    field under- or overflowed."""
+    try:
+        return x.to_bytes(length, sys.byteorder)
+    except OverflowError:
+        raise InternalCheckError(f"packed orbit block of {f.name} left its fields") from None
 
 
 @dataclass
@@ -103,7 +231,7 @@ class CoxeterEvaluation:
     factor: SimpleFactor
     conductor: int  # N = h * e, e the exponent of P/Q
     weight_exponents: tuple[int, ...]  # e * <omega_k, rho_check>, all integral
-    _orbit: tuple[SignClass, ...] | None = field(default=None, repr=False)
+    _orbit: tuple[str, tuple[SignClass, ...]] | None = field(default=None, repr=False)
     _denominator: CyclotomicInt | None = field(default=None, repr=False)
     _denominator_shadow: complex = field(default=0j, repr=False)
 
@@ -121,28 +249,11 @@ class CoxeterEvaluation:
             exps.append(int(v))
         return cls(factor=f, conductor=n, weight_exponents=tuple(exps))
 
-    def _signed_orbit(self) -> tuple[SignClass, ...]:
-        """The signed W-orbit of e * rho_check, split by sign and packed
-        mod N; walked on the first call and cached."""
+    def _signed_orbit(self) -> tuple[str, tuple[SignClass, ...]]:
+        """The field format and the sign classes of the signed W-orbit of
+        e * rho_check, packed mod N; built on the first call and cached."""
         if self._orbit is None:
-            f = self.factor
-            n = self.conductor
-            points = _walk_signed_orbit(f.cartan, self.weight_exponents)
-            if len(points) != f.weyl_order:
-                raise InternalCheckError(
-                    f"orbit size {len(points)} != Weyl order {f.weyl_order} on {f.name}"
-                )
-            classes = []
-            for sign in (1, -1):
-                members = [x for x, s in points.items() if s == sign]
-                packed = tuple(
-                    int.from_bytes(
-                        struct.pack(f"{len(coord)}Q", *map(n.__rmod__, coord)), sys.byteorder
-                    )
-                    for coord in zip(*members)
-                )
-                classes.append((sign, packed, len(members)))
-            self._orbit = tuple(classes)
+            self._orbit = _build_signed_orbit(self.factor, self.weight_exponents, self.conductor)
         return self._orbit
 
     def signed_orbit_counts(self, mu: Sequence[int]) -> list[int]:
@@ -150,15 +261,17 @@ class CoxeterEvaluation:
 
         e * <w(mu), rho_check> = <mu, v> for v = w^-1(e * rho_check), and
         det(w) = det(w^-1), so this is the histogram of <mu, v> mod N
-        over the signed orbit.  mu is reduced mod N first, so each
-        64-bit field of the packed sum holds at most r * (N - 1)**2 and
-        no field carries into the next.
+        over the signed orbit.  mu is reduced mod N first, so each packed
+        field of the sum holds at most r * (N - 1)**2 and no field
+        carries into the next.
         """
         n = self.conductor
         counts = [0] * n
-        for sign, packed, size in self._signed_orbit():
+        fmt, classes = self._signed_orbit()
+        width = struct.calcsize(fmt)
+        for sign, packed, size in classes:
             total = sum(m % n * p for m, p in zip(mu, packed))
-            fields = memoryview(total.to_bytes(8 * size, sys.byteorder)).cast("Q")
+            fields = memoryview(total.to_bytes(width * size, sys.byteorder)).cast(fmt)
             for v, c in Counter(fields).items():
                 counts[v % n] += sign * c
         return counts

@@ -6,7 +6,6 @@ float-shadow guards (1e-6, pinned here and inside the oracle).
 """
 
 import itertools
-import os
 import random
 import time
 
@@ -99,17 +98,16 @@ def test_criterion_2_e6_scaling():
     report(2, f"E6: 100 random weights vs oracle, {elapsed:.1f}s")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("COXCHAR_RUN_E7"),
-    reason="E7 oracle sweep is optional; set COXCHAR_RUN_E7=1 to run",
-)
-def test_criterion_2_e7_optional():
+def test_criterion_2_e7_sweep():
     rd = build("E7")
     rng = random.Random(20240602)
+    started = time.monotonic()
     for _ in range(3):
         lam = tuple(rng.randint(0, 3) for _ in range(7))
         assert char_at_coxeter(rd, lam).value == char_at_coxeter_oracle(rd, lam)
-    report(2, "E7: 3 random weights vs oracle (optional flag)")
+    elapsed = time.monotonic() - started
+    assert elapsed < 60, f"E7 sweep took {elapsed:.1f}s, budget is 1 minute"
+    report(2, f"E7: 3 random weights vs oracle, {elapsed:.1f}s")
 
 
 def test_criterion_2_e8_fast_path():

@@ -1,5 +1,7 @@
 import itertools
 import random
+import struct
+import sys
 from fractions import Fraction
 
 import pytest
@@ -42,10 +44,10 @@ class TestWeylNumerator:
         assert "5000000" in str(exc.value).replace(",", "")
 
     def test_cap_refuses_before_any_orbit_walk(self, monkeypatch):
-        def walk(cartan, start):
-            raise AssertionError("orbit walked before the cap check")
+        def walk(f, start, n):
+            raise AssertionError("orbit built before the cap check")
 
-        monkeypatch.setattr(oracle, "_walk_signed_orbit", walk)
+        monkeypatch.setattr(oracle, "_build_signed_orbit", walk)
         with pytest.raises(CapExceeded):
             char_at_coxeter_oracle(build("E8"), (0,) * 8)
 
@@ -64,7 +66,7 @@ class TestWeylNumerator:
                 assert flipped == [-c for c in base]
 
 
-    @pytest.mark.parametrize("t", ["A2", "B3", "G2"])
+    @pytest.mark.parametrize("t", ["A2", "B3", "G2", "C3", "A4", "F4", "D5"])
     def test_histogram_matches_direct_weyl_sum(self, t):
         # sum det(w) at e * <w(mu), rho_check> mod N over the matrices of W
         rd = build(t)
@@ -82,6 +84,45 @@ class TestWeylNumerator:
                 wmu = w.matrix.apply(mu)
                 direct[sum(a * b for a, b in zip(wmu, ev.weight_exponents)) % n] += w.sign
             assert ev.signed_orbit_counts(mu) == direct
+
+
+SIMPLE_TYPES_TO_RANK_8 = (
+    [f"A{r}" for r in range(1, 9)]
+    + [f"{x}{r}" for x in "BC" for r in range(2, 9)]
+    + [f"D{r}" for r in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+class TestPacking:
+    @pytest.mark.parametrize("t", SIMPLE_TYPES_TO_RANK_8 + ["A40"])
+    def test_field_holds_biased_coordinates_and_pairings(self, t):
+        # checked on the packing alone: none of these orbits is built
+        f = build(t).factors[0]
+        ev = CoxeterEvaluation.for_factor(f)
+        n, start = ev.conductor, ev.weight_exponents
+        bias, bits, fmt = oracle._packing(f.rank, n, start)
+        assert struct.calcsize(fmt) * 8 == bits
+        # every orbit point of the dominant start lies within +-max(start)
+        assert bias % n == 0 and bias - n < max(start) <= bias
+        # biased coordinates in [0, 2B] keep the top bit free for the reduction
+        assert 2 * bias < 1 << (bits - 1)
+        # a pairing of residues mod N with mu reduced mod N
+        assert f.rank * (n - 1) ** 2 < 1 << bits
+        if bits > 16:  # and no narrower field would do
+            assert max(4 * bias, f.rank * (n - 1) ** 2) >= 1 << (bits // 2)
+
+    @pytest.mark.parametrize(
+        "n, bias, bits", [(4, 4, 16), (36, 108, 16), (30, 150, 32), (1681, 10086, 32), (12, 24, 64)]
+    )
+    def test_reduce_fields(self, n, bias, bits):
+        fmt = {16: "H", 32: "I", 64: "Q"}[bits]
+        values = list(range(2 * bias + 1))
+        packed = int.from_bytes(struct.pack(f"{len(values)}{fmt}", *values), sys.byteorder)
+        ones = oracle._ones(len(values), bits // 8)
+        reduced = oracle._reduce_fields(packed, n, bias, bits, ones)
+        fields = memoryview(reduced.to_bytes(len(values) * bits // 8, sys.byteorder)).cast(fmt)
+        assert list(fields) == [v % n for v in values]
 
 
 @pytest.fixture
@@ -117,21 +158,66 @@ class TestChecksCanFail:
         assert quotient == [str(Fraction(-1, 2))] + ["0"] * (len(quotient) - 1)
 
     def test_orbit_missing_a_point_is_refused(self, monkeypatch, fresh_evaluations):
-        real_walk = oracle._walk_signed_orbit
+        # B3: |W_{<=1}| = |W(A2)| = 6, so a dropped last block loses 6 points
+        real_tree = oracle._coset_tree
 
-        def lossy(cartan, start):
-            points = real_walk(cartan, start)
-            points.pop(start)
-            return points
+        def lossy(cartan, k):
+            tree = real_tree(cartan, k)
+            return tree[:-1] if k == 2 else tree
 
-        monkeypatch.setattr(oracle, "_walk_signed_orbit", lossy)
-        with pytest.raises(InternalCheckError, match="orbit size 47 != Weyl order 48"):
+        monkeypatch.setattr(oracle, "_coset_tree", lossy)
+        with pytest.raises(InternalCheckError, match="orbit size 42 != Weyl order 48"):
             char_at_coxeter_oracle(build("B3"), (1, 0, 2))
 
     def test_singular_start_is_refused(self):
-        cartan = build("A2").factors[0].cartan
-        with pytest.raises(InternalCheckError, match="stabilized"):
-            oracle._walk_signed_orbit(cartan, (1, 2))  # <alpha_1, x> = 0
+        f = build("A2").factors[0]
+        with pytest.raises(InternalCheckError, match="not strictly dominant"):
+            oracle._build_signed_orbit(f, (1, 2), 9)  # <alpha_1, x> = 0
+
+    def test_sign_classes_of_unequal_size_are_refused(self, monkeypatch, fresh_evaluations):
+        # s_1 given det +1 puts both points of W_{<=0} in the det = +1
+        # class; the three representatives of W(A2) / W(A1) do not even
+        # that out again (two have even length)
+        real_tree = oracle._coset_tree
+
+        def unsigned(cartan, k):
+            tree = real_tree(cartan, k)
+            return [(p, j, 1) for p, j, _ in tree] if k == 0 else tree
+
+        monkeypatch.setattr(oracle, "_coset_tree", unsigned)
+        with pytest.raises(InternalCheckError, match="have 4 and 2 points, not 3 each"):
+            char_at_coxeter_oracle(build("A2"), (1, 1))
+
+    @pytest.mark.parametrize("t", ["A2", "B3", "G2", "D4", "F4"])
+    def test_wrong_reflection_is_refused(self, monkeypatch, t):
+        # the first block of the last level reflected by s_1 instead of
+        # s_r: the right size and signs, but s_1 fixes the sum of the
+        # W_{<r}-orbit and s_r does not
+        real_tree = oracle._coset_tree
+        f = build(t).factors[0]
+
+        def misdirected(cartan, k):
+            tree = real_tree(cartan, k)
+            if k == f.rank - 1:
+                parent, j, det = tree[0]
+                assert j == k
+                tree[0] = (parent, 0, det)
+            return tree
+
+        monkeypatch.setattr(oracle, "_coset_tree", misdirected)
+        ev = CoxeterEvaluation.for_factor(f)
+        with pytest.raises(InternalCheckError, match="sums to"):
+            oracle._build_signed_orbit(f, ev.weight_exponents, ev.conductor)
+
+    def test_field_overflow_is_refused(self, monkeypatch):
+        # a packed reflection without its bias leaves negative fields
+        real_reflect = oracle._reflect
+        monkeypatch.setattr(
+            oracle, "_reflect", lambda block, j, col, shift: real_reflect(block, j, col, 0)
+        )
+        ev = CoxeterEvaluation.for_factor(build("A2").factors[0])
+        with pytest.raises(InternalCheckError, match="left its fields"):
+            oracle._build_signed_orbit(ev.factor, ev.weight_exponents, ev.conductor)
 
     def test_perturbed_float_shadow_is_refused(self, monkeypatch, fresh_evaluations):
         rd = build("G2")

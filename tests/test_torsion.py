@@ -8,7 +8,7 @@ import pytest
 
 from coxchar import torsion
 from coxchar.errors import CapExceeded, InternalCheckError
-from coxchar.rootdata import build, pairing
+from coxchar.rootdata import RootDatum, build, pairing
 from coxchar.torsion import (
     OrbitReport,
     char_group_of_torsion,
@@ -108,6 +108,20 @@ class TestClassify:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             classify_regular_orbits(build("E8"), 30)
+
+    @pytest.mark.parametrize("t", ["A2", "B3", "G2", "D4", "A1xA1"])
+    def test_rho_moved_off_the_distinguished_orbit(self, monkeypatch, t):
+        # at n = h every regular class lies in the orbit of [rho], so the
+        # classes off it are singular; a census that projects one of them
+        # in place of rho still finds one distinguished orbit, without rho
+        rd = build(t)
+        n = rd.factors[0].coxeter_number
+        assert classify_regular_orbits(rd, n).rho_in_distinguished_orbit
+        for moved in [(0,) * rd.rank, (0,) + (1,) * (rd.rank - 1)]:
+            monkeypatch.setattr(RootDatum, "rho", property(lambda self: moved))
+            o = classify_regular_orbits(rd, n)
+            assert o.regular_orbits_with_image_order_n == 1
+            assert not o.rho_in_distinguished_orbit
 
     @pytest.mark.parametrize("t,n", [("D5", 8), ("B5", 10), ("C5", 10), ("A6", 7)])
     def test_census_near_the_cap(self, t, n):
