@@ -79,6 +79,67 @@ class TestDualityReport:
             duality_report(build("E8"), 30, trials=10)
 
 
+# (type, n) -> (x, x2, reflection) of the first failing trial at seed 5,
+# 300 trials, when the check runs on the wrong side or with the wrong
+# reflection; every trial draws x and then m, so these pin the draw order
+TRANSLATE_WITNESSES = {
+    ("B2", 2): ([-4, -5], [-6, -1]),
+    ("B2", 3): ([5, -2], [-4, 4]),
+    ("B2", 4): ([-7, -9], [-11, -1]),
+    ("B3", 2): ([1, 6, -3], [-5, 10, -7]),
+    ("B3", 3): ([-1, 2, 7], [-16, 17, -5]),
+    ("B3", 4): ([2, 12, -5], [-10, 20, -13]),
+    ("C3", 2): ([1, 6, -3], [-5, 14, -9]),
+    ("C3", 3): ([-1, 2, 7], [-16, 20, -2]),
+    ("C3", 4): ([2, 12, -5], [-10, 28, -17]),
+}
+REFLECTION_WITNESSES = {
+    ("B2", 2): ([-4, -5], [-6, -1], 1),
+    ("B2", 3): ([5, -2], [-4, 4], 1),
+    ("B2", 4): ([-7, -9], [-11, -1], 1),
+    ("B3", 2): ([-1, 1, -3], [-1, 11, -19], 2),
+    ("B3", 3): ([-1, 2, 7], [-16, 17, -5], 2),
+    ("B3", 4): ([-1, 3, -5], [-1, 23, -37], 2),
+    ("C3", 2): ([-1, 1, -3], [-1, 15, -15], 2),
+    ("C3", 3): ([-3, 4, -1], [-12, 19, -10], 2),
+    ("C3", 4): ([-1, 3, -5], [-1, 31, -29], 2),
+}
+
+
+def transposed_reflect(cartan, coords, j):
+    """s_j with A^T in place of A: c_k -> c_k - c_j * A[j][k]."""
+    cj = coords[j]
+    return tuple(c - cj * cartan[j][k] for k, c in enumerate(coords))
+
+
+def check_on_the_coweight_side(monkeypatch):
+    """Project onto P_vee / n Q_vee, the quotient by n A^T: x2 - x = n A m
+    is not in that span unless A is symmetric."""
+    monkeypatch.setattr(torsion, "char_group_of_torsion", torsion_points)
+
+
+def reflect_with_the_transpose(monkeypatch):
+    monkeypatch.setattr(torsion, "_reflect", transposed_reflect)
+
+
+class TestWellDefinedCanFail:
+    @pytest.mark.parametrize("t,n", sorted(TRANSLATE_WITNESSES))
+    def test_translate_branch(self, monkeypatch, t, n):
+        check_on_the_coweight_side(monkeypatch)
+        rep = duality_report(build(t), n, trials=300, seed=5)
+        x, x2 = TRANSLATE_WITNESSES[t, n]
+        assert rep.isomorphic and not rep.action_well_defined and not rep.passed
+        assert rep.witness == {"x": x, "x2": x2, "reflection": None}
+
+    @pytest.mark.parametrize("t,n", sorted(REFLECTION_WITNESSES))
+    def test_reflection_branch(self, monkeypatch, t, n):
+        reflect_with_the_transpose(monkeypatch)
+        rep = duality_report(build(t), n, trials=300, seed=5)
+        x, x2, j = REFLECTION_WITNESSES[t, n]
+        assert rep.isomorphic and not rep.action_well_defined and not rep.passed
+        assert rep.witness == {"x": x, "x2": x2, "reflection": j}
+
+
 class TestClassify:
     def test_a1_n2(self):
         o = classify_regular_orbits(build("A1"), 2)
