@@ -7,15 +7,21 @@ finite quotient of ZZ^r by a full-rank sublattice as a finite abelian
 group in invariant-factor form together with an explicit projection map
 (and a section), the engine behind every lattice quotient in the package
 (center of the group, torsion points of tori, character groups).
+``FiniteAbelianGroup.project_packed`` projects many vectors at once, each
+coordinate packed into one big integer with a field per vector; its
+in-place field reduction ``_reduce_fields`` also reduces the oracle's
+packed orbits.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 from operator import mul
 from typing import Iterable, Sequence
+
+from .errors import InternalCheckError
 
 
 @dataclass(frozen=True)
@@ -102,34 +108,6 @@ class IntMatrix:
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
 
-    def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse of a matrix with determinant +-1."""
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("inverse of non-square matrix")
-        a = [[Fraction(x) for x in row] for row in self.data]
-        inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            p = a[col][col]
-            a[col] = [x / p for x in a[col]]
-            inv[col] = [x / p for x in inv[col]]
-            for i in range(n):
-                if i != col and a[i][col] != 0:
-                    f = a[i][col]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                    inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-        out = []
-        for row in inv:
-            if any(x.denominator != 1 for x in row):
-                raise ValueError("matrix is not unimodular")
-            out.append(tuple(int(x) for x in row))
-        return IntMatrix(tuple(out))
-
 
 def _swap_rows(a: list[list[int]], i: int, j: int) -> None:
     a[i], a[j] = a[j], a[i]
@@ -157,9 +135,22 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     always the nonzero entry of minimal absolute value (ties broken by
     position), so repeated runs give identical transforms.
     """
+    u, d, v, _ = _smith(m)
+    return IntMatrix.from_rows(u), IntMatrix.from_rows(d), IntMatrix.from_rows(v)
+
+
+def _smith(m: IntMatrix) -> tuple[list[list[int]], ...]:
+    """(U, D, V, U^-1) of ``smith_normal_form`` as lists of rows.
+
+    U^-1 is kept in step with U: each row operation on U is undone on the
+    right of U^-1 by the inverse column operation (a swap by the same
+    swap, row_i -= q row_t by col_t += q col_i, a negated row by the
+    same column negated), so no inverse is ever solved for.
+    """
     nrows, ncols = m.rows, m.cols
     a = [list(row) for row in m.data]
     u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    u_inv = [list(row) for row in u]
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     for t in range(min(nrows, ncols)):
@@ -177,6 +168,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             if bi != t:
                 _swap_rows(a, t, bi)
                 _swap_rows(u, t, bi)
+                _swap_cols(u_inv, t, bi)
             if bj != t:
                 _swap_cols(a, t, bj)
                 _swap_cols(v, t, bj)
@@ -188,6 +180,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     if q:
                         _row_sub(a, i, t, q)
                         _row_sub(u, i, t, q)
+                        _col_sub(u_inv, t, i, -q)
                     if a[i][t] != 0:
                         clean = False
             for j in range(t + 1, ncols):
@@ -212,6 +205,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             if offender is not None:
                 _row_sub(a, t, offender, -1)  # add offending row, re-reduce
                 _row_sub(u, t, offender, -1)
+                _col_sub(u_inv, offender, t, 1)
                 continue
             break
         if all(a[i][j] == 0 for i in range(t, nrows) for j in range(t, ncols)):
@@ -221,6 +215,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
+            for row in u_inv:
+                row[t] = -row[t]
 
     diag = [a[t][t] for t in range(min(nrows, ncols))]
     for x, y in zip(diag, diag[1:]):
@@ -229,11 +225,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if x != 0 and y % x != 0:
             raise AssertionError("SNF: divisibility chain broken")
 
-    return (
-        IntMatrix.from_rows(u),
-        IntMatrix.from_rows(a),
-        IntMatrix.from_rows(v),
-    )
+    return u, a, v, u_inv
 
 
 def apply_mod(
@@ -241,6 +233,47 @@ def apply_mod(
 ) -> tuple[int, ...]:
     """Each row paired with v, reduced mod the matching modulus."""
     return tuple(sum(map(mul, row, v)) % d for row, d in zip(rows, moduli))
+
+
+def _ones(size: int, width: int) -> int:
+    """1 in each of `size` packed fields of `width` bytes."""
+    return int.from_bytes((1).to_bytes(width, sys.byteorder) * size, sys.byteorder)
+
+
+def _pack(values: Sequence[int], low: int, width: int, ones: int) -> int:
+    """Values v_t >= low as one integer sum_t v_t * 2^(8 * width * t),
+    with ``ones`` the 1 in each of its fields of `width` bytes."""
+    fields = b"".join([(v - low).to_bytes(width, sys.byteorder) for v in values])
+    return int.from_bytes(fields, sys.byteorder) + low * ones
+
+
+def _reduce_fields(x: int, n: int, bias: int, bits: int, ones: int) -> int:
+    """Every packed field of x, a value in [0, 2 * bias] below its top
+    bit, reduced mod n (n divides bias) without unpacking.
+
+    Subtracts t = n * 2^s from the fields that hold at least t, for s
+    down to 0; a field holds at least t exactly when adding 2^(bits-1) - t
+    sets its top bit, which cannot carry into the next field.
+    """
+    top = bits - 1
+    for s in reversed(range((2 * bias // n).bit_length())):
+        t = n << s
+        x -= t * (((x + ((1 << top) - t) * ones) >> top) & ones)
+    return x
+
+
+def _fields_within(x: int, hi: int, bits: int, ones: int) -> bool:
+    """Whether x is as many packed fields of `bits` bits as ``ones`` has,
+    each in [0, hi], with hi below the top bit.
+
+    A field at or above the top bit shows in x; one in (hi, 2^(bits-1))
+    sets its top bit once 2^(bits-1) - 1 - hi is added, which cannot
+    carry out of a field below the top bit.
+    """
+    top = bits - 1
+    if not 0 <= x < 1 << (ones.bit_length() + top):
+        return False
+    return not ((x | (x + ((1 << top) - 1 - hi) * ones)) >> top) & ones
 
 
 @dataclass(frozen=True)
@@ -277,6 +310,43 @@ class FiniteAbelianGroup:
             raise ValueError("vector length mismatch")
         return apply_mod(self._rows, self.invariant_factors, v)
 
+    def _biases(self, bound: int) -> list[int]:
+        """Per invariant factor d, the least multiple of d that is at least
+        |row . v| for every v with all |v_k| <= bound."""
+        return [
+            -(-bound * sum(map(abs, row)) // d) * d
+            for row, d in zip(self._rows, self.invariant_factors)
+        ]
+
+    def packed_bits(self, bound: int) -> int:
+        """The field width, in bits and whole bytes, that ``project_packed``
+        needs for vectors with all |v_k| <= bound: [0, 2B] below the top bit."""
+        need = (2 * max(self._biases(bound), default=0)).bit_length() + 1
+        return -(-need // 8) * 8
+
+    def project_packed(
+        self, cols: Sequence[int], bound: int, bits: int, ones: int
+    ) -> list[int]:
+        """``project`` of many vectors at once, packed.
+
+        cols[k] holds coordinate k of every vector, one field of ``bits``
+        bits each: sum_t v_t * 2^(bits * t), with all |v_t| <= bound and
+        ``ones`` the 1 in each field.  Each invariant factor d gets one
+        packed dot product with its row of U, biased by B (``_biases``)
+        into [0, 2B] and reduced mod d in place; the result holds the
+        residues, one integer per factor, in the same fields.  A field
+        outside [0, 2B] by less than 2^(bits-1) raises InternalCheckError.
+        """
+        out = []
+        for row, d, b in zip(self._rows, self.invariant_factors, self._biases(bound)):
+            x = sum(map(mul, row, cols)) + b * ones
+            if not _fields_within(x, 2 * b, bits, ones):
+                raise InternalCheckError(
+                    f"packed projection mod {d} left its fields (bound {bound}, {bits} bits)"
+                )
+            out.append(_reduce_fields(x, d, b, bits, ones))
+        return out
+
     def section(self, residues: Sequence[int]) -> tuple[int, ...]:
         """An ambient vector mapping onto the given residue tuple."""
         if len(residues) != len(self._kept):
@@ -304,8 +374,8 @@ def quotient(ambient_rank: int, sublattice_basis: IntMatrix) -> FiniteAbelianGro
         raise ValueError(
             f"basis has {sublattice_basis.rows} rows, ambient rank is {ambient_rank}"
         )
-    u, d, _ = smith_normal_form(sublattice_basis)
-    diag = [d[i][i] for i in range(min(d.rows, d.cols))]
+    u, d, _, u_inv = _smith(sublattice_basis)
+    diag = [d[i][i] for i in range(min(sublattice_basis.rows, sublattice_basis.cols))]
     diag += [0] * (ambient_rank - len(diag))
     if any(x == 0 for x in diag):
         raise ValueError("sublattice has infinite index (rank-deficient basis)")
@@ -314,6 +384,6 @@ def quotient(ambient_rank: int, sublattice_basis: IntMatrix) -> FiniteAbelianGro
         ambient_rank=ambient_rank,
         invariant_factors=tuple(di for _, di in kept),
         _kept=tuple(i for i, _ in kept),
-        _rows=tuple(u[i] for i, _ in kept),
-        _u_inv=u.inverse_unimodular(),
+        _rows=tuple(tuple(u[i]) for i, _ in kept),
+        _u_inv=IntMatrix.from_rows(u_inv),
     )

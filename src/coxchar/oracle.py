@@ -41,7 +41,7 @@ from typing import Sequence
 
 from .cyclotomic import CyclotomicInt, divide_exact
 from .errors import CapExceeded, InternalCheckError, TheoremViolation
-from .lattice import IntMatrix
+from .lattice import IntMatrix, _ones, _reduce_fields
 from .rootdata import RootDatum, SimpleFactor
 
 DEFAULT_WEYL_CAP = 5_000_000
@@ -193,26 +193,6 @@ def _build_signed_orbit(
             f"signed orbit of {f.name} sums to {sums}, not 0: V has no W-invariants"
         )
     return fmt, ((1, tuple(first), plus), (-1, tuple(rest), size - plus))
-
-
-def _ones(size: int, width: int) -> int:
-    """1 in each of `size` packed fields of `width` bytes."""
-    return int.from_bytes((1).to_bytes(width, sys.byteorder) * size, sys.byteorder)
-
-
-def _reduce_fields(x: int, n: int, bias: int, bits: int, ones: int) -> int:
-    """Every packed field of x, a value in [0, 2 * bias] below its top
-    bit, reduced mod n (n divides bias) without unpacking.
-
-    Subtracts t = n * 2^s from the fields that hold at least t, for s
-    down to 0; a field holds at least t exactly when adding 2^(bits-1) - t
-    sets its top bit, which cannot carry into the next field.
-    """
-    top = bits - 1
-    for s in reversed(range((2 * bias // n).bit_length())):
-        t = n << s
-        x -= t * (((x + ((1 << top) - t) * ones) >> top) & ones)
-    return x
 
 
 def _field_bytes(x: int, length: int, f: SimpleFactor) -> bytes:

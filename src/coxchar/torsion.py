@@ -13,23 +13,36 @@ there is no coset-representative ambiguity anywhere.  The census stays
 in residue coordinates: regularity is a set of linear forms on residues,
 each simple reflection is a residue matrix, and only regular orbits are
 walked.
+
+The duality check draws its random trials in chunks and packs each
+chunk: coordinate k of every trial's weight vector is one big integer
+with a field per trial, so translating, reflecting and projecting a
+whole chunk are a few big-integer multiply-adds, and the residues are
+reduced in place and compared as integers (the packed-residue kernel of
+``lattice``, shared with the oracle).  Fields are as wide as an exact
+bound on the coordinates needs, so any n gets a value.  The witness is
+the earliest failing trial, rebuilt from its draws.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import compress, product
 from math import gcd
-from operator import mul
+from operator import mul, or_, xor
 from typing import Iterator, Optional, Sequence
 
 from .errors import CapExceeded, InternalCheckError
-from .lattice import FiniteAbelianGroup, apply_mod, quotient
+from .lattice import FiniteAbelianGroup, IntMatrix, _ones, _pack, apply_mod, quotient
 from .rootdata import RootDatum, pairing
 from .weyl import _reflect
 
 DEFAULT_CLASS_CAP = 10**6
+
+# trials that duality_report draws and checks together
+_CHUNK_TRIALS = 256
 
 
 def torsion_points(rd: RootDatum, n: int) -> FiniteAbelianGroup:
@@ -90,9 +103,14 @@ def duality_report(
     """Check the two torsion presentations agree and the Weyl action on
     weight-side classes is independent of the representative.
 
-    The representative check is randomized: for x' = x + n*(root lattice
-    vector) and every simple reflection s, the classes of s(x) and s(x')
-    must coincide.  A failure is reported with a witness.
+    The representative check is randomized: each trial draws x and then
+    m from ``random.Random(seed)``, and for x2 = x + n*A*m (a translate
+    by n times a root-lattice vector) the classes of x and x2 and, for
+    every simple reflection s, those of s(x) and s(x2) must coincide.
+    Trials run in chunks of _CHUNK_TRIALS, packed (``_first_failure``),
+    so memory does not grow with ``trials``.  The witness is the earliest
+    failing trial, with reflection None when x and x2 already differ and
+    otherwise the first simple reflection (1-based) that separates them.
     """
     tp = torsion_points(rd, n)
     cg = char_group_of_torsion(rd, n)
@@ -100,39 +118,77 @@ def duality_report(
         raise CapExceeded(
             f"{rd.type_string} at n={n}: {cg.order} classes exceed the cap {cap}"
         )
-    isomorphic = tp.invariant_factors == cg.invariant_factors
-
-    rng = random.Random(seed)
-    witness = None
-    well_defined = True
-    r = rd.rank
-    for _ in range(trials):
-        x = tuple(rng.randrange(-3 * n, 3 * n + 1) for _ in range(r))
-        m = tuple(rng.randrange(-2, 3) for _ in range(r))
-        shift = rd.cartan.apply(m)  # a root-lattice vector in weight coords
-        x2 = tuple(a + n * b for a, b in zip(x, shift))
-        if cg.project(x) != cg.project(x2):
-            well_defined = False
-            witness = {"x": list(x), "x2": list(x2), "reflection": None}
-            break
-        for j in range(r):
-            if cg.project(_reflect(rd.cartan, x, j)) != cg.project(_reflect(rd.cartan, x2, j)):
-                well_defined = False
-                witness = {"x": list(x), "x2": list(x2), "reflection": j + 1}
-                break
-        if not well_defined:
-            break
-
+    witness = _first_failure(rd, cg, n, trials, seed)
     return DualityReport(
         type_string=rd.type_string,
         n=n,
         invariant_factors_coweight_side=tp.invariant_factors,
         invariant_factors_weight_side=cg.invariant_factors,
-        isomorphic=isomorphic,
-        action_well_defined=well_defined,
+        isomorphic=tp.invariant_factors == cg.invariant_factors,
+        action_well_defined=witness is None,
         trials=trials,
         witness=witness,
     )
+
+
+def _reflect_packed(cartan: IntMatrix, cols: Sequence[int], j: int) -> list[int]:
+    """s_{j+1} on packed coordinate columns: c_k -> c_k - c_j * A[k][j]."""
+    cj = cols[j]
+    return [c - cj * cartan[k][j] for k, c in enumerate(cols)]
+
+
+def _first_failure(
+    rd: RootDatum, group: FiniteAbelianGroup, n: int, trials: int, seed: int
+) -> Optional[dict]:
+    """The witness of the first trial of ``duality_report`` whose classes
+    differ, or None.
+
+    A chunk of trials is drawn in trial order, and coordinate k of x (of
+    m) over the chunk becomes one integer with a field per trial, so x2
+    is r packed multiply-adds and each simple reflection is r more.  x,
+    x2, s_j(x) and s_j(x2) are each projected as actual weight vectors
+    (``FiniteAbelianGroup.project_packed``), never as differences, and
+    their packed residues are compared by XOR: the lowest set bit of the
+    OR of all the comparisons is in the field of the first failing trial.
+    Every coordinate is at most ``bound`` in absolute value (|x_k| <= 3n,
+    |m_k| <= 2, and a reflection adds at most max |A[k][j]| times another
+    coordinate), which fixes the field width.
+    """
+    r = rd.rank
+    cartan = rd.cartan
+    reach = 3 * n + 2 * n * max(sum(map(abs, row)) for row in cartan.data)
+    off_diagonal = (abs(cartan[k][j]) for k in range(r) for j in range(r) if k != j)
+    bound = reach * (1 + max(off_diagonal, default=0))
+    bits = group.packed_bits(bound)
+    width = bits // 8
+    spans = [(-3 * n, 3 * n + 1)] * r + [(-2, 3)] * r
+    randrange = random.Random(seed).randrange
+    for done in range(0, trials, _CHUNK_TRIALS):
+        size = min(_CHUNK_TRIALS, trials - done)
+        draws = [randrange(lo, hi) for _ in range(size) for lo, hi in spans]
+        ones = _ones(size, width)
+        cols = [_pack(draws[k :: 2 * r], lo, width, ones) for k, (lo, _) in enumerate(spans)]
+        x, m = cols[:r], cols[r:]
+        x2 = [c + n * sum(map(mul, row, m)) for c, row in zip(x, cartan.data)]
+        pairs = [(x, x2)] + [
+            (_reflect_packed(cartan, x, j), _reflect_packed(cartan, x2, j)) for j in range(r)
+        ]
+        project = partial(group.project_packed, bound=bound, bits=bits, ones=ones)
+        # per check, the fields of the trials where some residue differs
+        mismatches = [reduce(or_, map(xor, project(u), project(v)), 0) for u, v in pairs]
+        failed = reduce(or_, mismatches)
+        if failed:
+            t = ((failed & -failed).bit_length() - 1) // bits
+            field = ((1 << bits) - 1) << (bits * t)
+            check = next(i for i, diff in enumerate(mismatches) if diff & field)
+            trial = draws[2 * r * t : 2 * r * (t + 1)]
+            xt, shift = trial[:r], cartan.apply(trial[r:])
+            return {
+                "x": xt,
+                "x2": [a + n * b for a, b in zip(xt, shift)],
+                "reflection": check or None,
+            }
+    return None
 
 
 @dataclass(frozen=True)
@@ -227,8 +283,10 @@ def classify_regular_orbits(
     InternalCheckError.
 
     Image order of a class with representative x is n / gcd(n, coords of
-    x), the order of x in P/nP; it is constant on orbits.  At n = h
-    exactly one regular orbit has image order h and it contains [rho].
+    x), the order of x in P/nP; it is constant on orbits.  The section of
+    the residues r is exactly sum_a r_a g_a, so x is that sum, with no
+    section call per orbit.  At n = h exactly one regular orbit has image
+    order h and it contains [rho].
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -240,6 +298,7 @@ def classify_regular_orbits(
     factors = group.invariant_factors
     units = [tuple(int(a == b) for b in range(len(factors))) for a in range(len(factors))]
     gens = [group.section(u) for u in units]
+    gen_coords = list(zip(*gens))  # section(r)_k = sum_a r_a * gens[a][k]
     forms = list(dict.fromkeys(
         tuple(pairing(g, p.coroot) % n for g in gens) for p in rd.positive_roots()
     ))
@@ -276,7 +335,7 @@ def classify_regular_orbits(
                     walked[y] = True
                     orbit.append(y)
         regular_orbits += 1
-        if gcd(n, *group.section(start)) == 1:  # image order n in P/nP
+        if gcd(n, *(sum(map(mul, c, start)) for c in gen_coords)) == 1:  # image order n
             distinguished += 1
             rho_in_distinguished |= rho_key in orbit
 

@@ -196,6 +196,7 @@ def test_criterion_7_torsion_duality_suite():
             assert rep.action_well_defined, (t, n, rep.witness)
             cases += 1
     elapsed = time.monotonic() - started
+    assert elapsed < 15, f"torsion duality suite took {elapsed:.1f}s, budget is 15 s"
     report(7, f"{cases} (type, n) cases, 1000 trials each, {elapsed:.1f}s")
 
 

@@ -1,15 +1,49 @@
 import itertools
+import random
+from fractions import Fraction
 from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from coxchar.lattice import IntMatrix, quotient, smith_normal_form
+from coxchar.errors import InternalCheckError
+from coxchar.lattice import IntMatrix, _ones, quotient, smith_normal_form
+from coxchar.rootdata import build
 
 
 def mat(rows):
     return IntMatrix.from_rows(rows)
+
+
+def inverse_unimodular(m: IntMatrix) -> IntMatrix:
+    """Reference: the exact inverse of a matrix with determinant +-1, by
+    Gauss-Jordan elimination over the rationals."""
+    n = m.rows
+    if n != m.cols:
+        raise ValueError("inverse of non-square matrix")
+    a = [[Fraction(x) for x in row] for row in m.data]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        p = a[col][col]
+        a[col] = [x / p for x in a[col]]
+        inv[col] = [x / p for x in inv[col]]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
+    out = []
+    for row in inv:
+        if any(x.denominator != 1 for x in row):
+            raise ValueError("matrix is not unimodular")
+        out.append(tuple(int(x) for x in row))
+    return IntMatrix(tuple(out))
 
 
 def minor_gcd_invariant_factors(m: IntMatrix) -> list[int]:
@@ -175,12 +209,70 @@ class TestIntMatrix:
     def test_inverse_unimodular(self):
         m = mat([[2, 1], [1, 1]])
         assert m.det() == 1
-        assert m @ m.inverse_unimodular() == IntMatrix.identity(2)
+        assert m @ inverse_unimodular(m) == IntMatrix.identity(2)
 
     def test_inverse_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
-            mat([[2, 0], [0, 2]]).inverse_unimodular()
+            inverse_unimodular(mat([[2, 0], [0, 2]]))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mat([[1, 2]]) @ mat([[1, 2]])
+
+
+RANK_LE_8_AND_PRODUCTS = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2", "A1xA2", "B2xG2", "A3xD4", "G2xF4", "E6xA2", "A1xA1xA1"]
+)
+
+
+@pytest.mark.parametrize("t", RANK_LE_8_AND_PRODUCTS)
+def test_section_map_is_the_exact_inverse(t):
+    # U^-1 kept by column operations during the Smith reduction equals
+    # U^-1 solved for over the rationals, on both torsion presentations
+    rd = build(t)
+    for n in range(1, 13):
+        for basis in (rd.cartan.scale(n), rd.cartan.transpose().scale(n)):
+            u, _, _ = smith_normal_form(basis)
+            assert quotient(rd.rank, basis)._u_inv == inverse_unimodular(u), n
+
+
+def pack(values, bits):
+    return sum(v << (bits * t) for t, v in enumerate(values))
+
+
+def unpack(x, bits, size):
+    return [(x >> (bits * t)) & ((1 << bits) - 1) for t in range(size)]
+
+
+class TestProjectPacked:
+    @pytest.mark.parametrize("t,n", [("A1", 5), ("A3", 4), ("B3", 6), ("G2", 7), ("D4", 2), ("A1xA2", 3)])
+    def test_matches_project(self, t, n):
+        rd = build(t)
+        g = quotient(rd.rank, rd.cartan.scale(n))
+        rng = random.Random(n)
+        bound = 40 * n
+        vectors = [[rng.randint(-bound, bound) for _ in range(rd.rank)] for _ in range(37)]
+        vectors += [[bound] * rd.rank, [-bound] * rd.rank]
+        bits = g.packed_bits(bound)
+        assert bits % 8 == 0
+        ones = _ones(len(vectors), bits // 8)
+        cols = [pack(col, bits) for col in zip(*vectors)]
+        packed = g.project_packed(cols, bound, bits, ones)
+        assert list(zip(*(unpack(x, bits, len(vectors)) for x in packed))) == [
+            g.project(v) for v in vectors
+        ]
+
+    @pytest.mark.parametrize("values", [[1, 13, 2], [1, 2, 100], [-13, 0, 0], [0, 0, -300]])
+    def test_field_out_of_range_raises(self, values):
+        # bound 10 on Z/6 x Z/6 gives B = 12: a value outside [-12, 12] leaves [0, 2B]
+        g = quotient(2, mat([[6, 0], [0, 6]]))
+        bits = g.packed_bits(10)
+        ones = _ones(3, bits // 8)
+        cols = [pack(values, bits), pack([0, 0, 0], bits)]
+        with pytest.raises(InternalCheckError, match="left its fields"):
+            g.project_packed(cols, 10, bits, ones)
+

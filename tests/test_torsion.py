@@ -1,5 +1,6 @@
 import random
 import signal
+import tracemalloc
 from contextlib import contextmanager
 from itertools import product
 from math import gcd
@@ -10,6 +11,7 @@ from coxchar import torsion
 from coxchar.errors import CapExceeded, InternalCheckError
 from coxchar.rootdata import RootDatum, build, pairing
 from coxchar.torsion import (
+    DualityReport,
     OrbitReport,
     char_group_of_torsion,
     classify_regular_orbits,
@@ -107,7 +109,8 @@ REFLECTION_WITNESSES = {
 
 
 def transposed_reflect(cartan, coords, j):
-    """s_j with A^T in place of A: c_k -> c_k - c_j * A[j][k]."""
+    """s_j with A^T in place of A: c_k -> c_k - c_j * A[j][k].  Linear, so
+    it acts on packed coordinate columns as on one weight vector."""
     cj = coords[j]
     return tuple(c - cj * cartan[j][k] for k, c in enumerate(coords))
 
@@ -119,7 +122,7 @@ def check_on_the_coweight_side(monkeypatch):
 
 
 def reflect_with_the_transpose(monkeypatch):
-    monkeypatch.setattr(torsion, "_reflect", transposed_reflect)
+    monkeypatch.setattr(torsion, "_reflect_packed", transposed_reflect)
 
 
 class TestWellDefinedCanFail:
@@ -351,3 +354,122 @@ class TestRegularityIsWeylInvariant:
             rx = regular(x)
             for el in els:
                 assert regular(el.matrix.apply(x)) == rx
+
+
+def reference_duality_report(rd, n, trials=1000, seed=0, reflect=_reflect):
+    """One trial at a time on weight-coordinate tuples, each projected by
+    ``FiniteAbelianGroup.project``."""
+    tp = torsion.torsion_points(rd, n)
+    cg = torsion.char_group_of_torsion(rd, n)
+    rng = random.Random(seed)
+    witness = None
+    r = rd.rank
+    for _ in range(trials):
+        x = tuple(rng.randrange(-3 * n, 3 * n + 1) for _ in range(r))
+        m = tuple(rng.randrange(-2, 3) for _ in range(r))
+        shift = rd.cartan.apply(m)
+        x2 = tuple(a + n * b for a, b in zip(x, shift))
+        if cg.project(x) != cg.project(x2):
+            witness = {"x": list(x), "x2": list(x2), "reflection": None}
+            break
+        for j in range(r):
+            if cg.project(reflect(rd.cartan, x, j)) != cg.project(reflect(rd.cartan, x2, j)):
+                witness = {"x": list(x), "x2": list(x2), "reflection": j + 1}
+                break
+        if witness is not None:
+            break
+    return DualityReport(
+        type_string=rd.type_string,
+        n=n,
+        invariant_factors_coweight_side=tp.invariant_factors,
+        invariant_factors_weight_side=cg.invariant_factors,
+        isomorphic=tp.invariant_factors == cg.invariant_factors,
+        action_well_defined=witness is None,
+        trials=trials,
+        witness=witness,
+    )
+
+
+CHUNK = torsion._CHUNK_TRIALS
+TRIAL_COUNTS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 1000]
+DUALITY_TYPES = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4",
+    "D4", "D5", "G2", "F4", "E6", "A1xA2", "B2xG2",
+]
+
+
+def ns_under_the_cap(rd):
+    return [n for n in range(1, 13) if n**rd.rank * rd.center.order <= torsion.DEFAULT_CLASS_CAP]
+
+
+@pytest.mark.parametrize("t", DUALITY_TYPES)
+def test_duality_report_matches_reference(t):
+    rd = build(t)
+    for n in ns_under_the_cap(rd):
+        for i, trials in enumerate(TRIAL_COUNTS):
+            seed = 7 * n + i
+            rep = duality_report(rd, n, trials=trials, seed=seed)
+            assert rep.as_dict() == reference_duality_report(rd, n, trials, seed).as_dict()
+            assert rep.passed, (n, trials, rep.witness)
+
+
+class QuietRandom(random.Random):
+    """random.Random whose m draws come out 0 (x2 = x, so nothing can
+    fail) for the first ``quiet`` trials; the stream is consumed as usual."""
+
+    quiet = 0
+
+    def seed(self, *args, **kwargs):
+        self.m_draws = 0
+        super().seed(*args, **kwargs)
+
+    def randrange(self, start, stop=None, step=1):
+        value = super().randrange(start, stop, step)
+        if (start, stop) == (-2, 3):
+            self.m_draws += 1
+            if self.m_draws <= self.quiet:
+                return 0
+        return value
+
+
+@pytest.mark.parametrize("patch", [check_on_the_coweight_side, reflect_with_the_transpose])
+@pytest.mark.parametrize("t", ["B2", "B3", "C3", "B2xG2"])
+def test_failing_reports_match_reference(monkeypatch, patch, t):
+    # the first failure lands in the first chunk, on either side of a chunk
+    # boundary, and deep in a later chunk
+    rd = build(t)
+    patch(monkeypatch)
+    reflect = transposed_reflect if patch is reflect_with_the_transpose else _reflect
+    monkeypatch.setattr(random, "Random", QuietRandom)
+    kinds = set()
+    for n in range(1, 13):
+        for quiet in [0, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK // 2]:
+            QuietRandom.quiet = quiet * rd.rank
+            rep = duality_report(rd, n, trials=1000, seed=n)
+            assert rep.as_dict() == reference_duality_report(rd, n, 1000, n, reflect).as_dict()
+            kinds.add(rep.witness and rep.witness["reflection"] is None)
+    # every run fails: the coweight side on translates, the transpose on reflections
+    assert None not in kinds and (patch is check_on_the_coweight_side) in kinds
+
+
+def test_reflection_outside_the_bound_raises(monkeypatch):
+    # coordinates past the exact bound leave their packed fields
+    monkeypatch.setattr(torsion, "_reflect_packed", lambda cartan, cols, j: [1000 * c for c in cols])
+    with pytest.raises(InternalCheckError, match="left its fields"):
+        duality_report(build("B3"), 4, trials=10)
+
+
+def test_memory_does_not_grow_with_trials():
+    rd = build("B3")
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            duality_report(rd, 5, trials=trials, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # warm the caches the report fills once
+    assert peak(20_000) <= 2 * peak(2_000)
+
