@@ -30,7 +30,6 @@ from .weyl import (
     WeylElement,
     coxeter_element,
     duality_involution,
-    enumerate_weyl,
     make_dominant,
     simple_reflection,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "divide_exact",
     "duality_involution",
     "duality_report",
-    "enumerate_weyl",
     "float_shadow",
     "fs_indicator",
     "make_dominant",

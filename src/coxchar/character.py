@@ -2,16 +2,28 @@
 
 The value of an irreducible character with highest weight lambda at the
 Coxeter class is 0, +1 or -1.  One pass over the positive coroots gives
-it: with mu = lambda + rho and q, s = divmod(<mu, beta_vee>, h), the value
-is 0 as soon as some s is 0 (mu is singular mod h, and beta_vee is the
-witness); otherwise it is (-1)**walls with walls = sum of the q, the
-number of affine walls between mu and the fundamental alcove of W x hQ.
-Reflecting mu across those walls one at a time reaches rho, the only
-integral point of the open alcove, and every reflection has
-determinant -1.  That walk, ``alcove_reduce``, is kept as the reference
-the wall count is checked against; the fast path never takes it.  None
-of this enumerates the Weyl group, and its cost does not grow with
-lambda, so E8 is as cheap as A1.
+it: with mu = lambda + rho, the value is 0 when some <mu, beta_vee> is
+0 mod h (mu is singular mod h, and the first such beta_vee in table
+order is the witness); otherwise it is (-1)**walls with walls =
+sum_beta floor(<mu, beta_vee> / h), the number of affine walls between
+mu and the fundamental alcove of W x hQ.  Reflecting mu across those
+walls one at a time reaches rho, the only integral point of the open
+alcove, and every reflection has determinant -1.  That walk,
+``alcove_reduce``, is kept as the reference the wall count is checked
+against; the fast path never takes it.
+
+The pass is packed: each factor holds, per simple-coroot coordinate i,
+one big integer with a field per positive coroot in table order
+(``rootdata.PackedCoroots``).  sum_i (mu_i mod h) * column_i puts
+<mu mod h, beta_vee> in every field at once; ``lattice._reduce_fields``,
+the kernel the oracle and the census use, reduces them mod h.  A field
+is the least whole number of bytes whose top bit lies above the
+reduction's range, 2 * bias with bias the least multiple of h at least
+(h - 1)^2 / 2 (the largest pairing), and that holds the sum of all the
+residues: 8 bits up to D4, 16 for E8, 24 for A60.  The lowest zero
+field is the witness.  None of this enumerates the Weyl group, and its
+cost does not grow with lambda: an E8 weight is r big-integer
+multiply-adds and a few masked subtractions, not 120 interpreted steps.
 
 Also here: the central character of rho, the order of the canonical
 Coxeter lift in the simply connected cover of the dual adjoint group,
@@ -26,7 +38,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import InternalCheckError, TheoremViolation
-from .lattice import FiniteAbelianGroup
+from .lattice import FiniteAbelianGroup, _reduce_fields
 from .rootdata import RootDatum, RootPair, SimpleFactor, Weight
 from .weyl import duality_involution
 
@@ -97,18 +109,24 @@ class CharReport:
 
 
 def _walls_or_blocking(f: SimpleFactor, mu: Sequence[int]) -> int | RootPair:
-    """One pass over the positive coroots of f: the first beta with
-    <mu, beta_vee> = 0 mod h, or, when there is none, the number of
-    affine walls sum_beta floor(<mu, beta_vee> / h) between the strictly
-    dominant mu and the fundamental alcove."""
+    """One packed pass over the positive coroots of f: the first beta, in
+    table order, with <mu, beta_vee> = 0 mod h, or, when there is none,
+    the number of affine walls sum_beta floor(<mu, beta_vee> / h) between
+    the strictly dominant mu and the fundamental alcove.
+
+    Field t of x holds <mu mod h, beta_t_vee> reduced mod h.  Subtracting
+    1 from every field borrows through the top bit of exactly the zero
+    fields, and the lowest of them is the witness.  Otherwise the fields
+    sum to x mod 2^bits - 1, the residues of <mu, beta_vee> mod h, and
+    the walls are (<mu, 2 rho_vee> - that sum) / h.
+    """
     h = f.coxeter_number
-    walls = 0
-    for p in f.positive:
-        q, s = divmod(sum(map(mul, mu, p.coroot)), h)
-        if s == 0:
-            return p
-        walls += q
-    return walls
+    k = f.packed
+    x = _reduce_fields(sum(map(mul, [c % h for c in mu], k.columns)), h, k.bias, k.bits, k.ones)
+    zero = (x - k.ones) & k.high
+    if zero:
+        return f.positive[(zero & -zero).bit_length() // k.bits - 1]
+    return (sum(map(mul, mu, f.two_rho_check)) - x % ((1 << k.bits) - 1)) // h
 
 
 def _blocking_coroot(rd: RootDatum, k: int, pair: RootPair) -> BlockingCoroot:

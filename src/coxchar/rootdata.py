@@ -21,12 +21,12 @@ Product types concatenate blocks along the diagonal; per-factor data
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import NamedTuple, Sequence
 
-from .lattice import FiniteAbelianGroup, IntMatrix, quotient
+from .lattice import FiniteAbelianGroup, IntMatrix, _ones, _pack, quotient
 
 Weight = tuple[int, ...]
 
@@ -205,6 +205,39 @@ def _weyl_order(family: str, rank: int) -> int:
             ("F", 4): 1152, ("G", 2): 12}[(family, rank)]
 
 
+class PackedCoroots(NamedTuple):
+    """The positive coroots of a factor as packed fields, one per coroot
+    in table order: ``columns[i]`` = sum_t c_i(beta_t) * 2^(bits * t),
+    with c_i(beta) the i-th simple-coroot coordinate of beta_vee.
+
+    For 0 <= m_i < h, sum_i m_i * columns[i] holds <m, beta_t_vee> in
+    field t.  That is at most (h - 1)^2, since no coroot is higher than
+    h - 1, and ``bias`` is the least multiple of h with 2 * bias at least
+    that, so ``lattice._reduce_fields`` reduces every field mod h.
+    ``bits`` is the least whole number of bytes with 2 * bias below the
+    top bit of a field and |Phi+| * (h - 1), the largest residue sum,
+    below 2^bits - 1.
+    """
+
+    columns: tuple[int, ...]
+    bits: int
+    bias: int
+    ones: int  # 1 in every field
+    high: int  # the top bit of every field
+
+
+def _pack_coroots(positive: Sequence[RootPair], rank: int, h: int) -> PackedCoroots:
+    bound = (h - 1) ** 2  # the largest <m, beta_vee> for 0 <= m_i < h
+    bias = h * -(-bound // (2 * h))  # the least multiple of h with 2 * bias >= bound
+    width = 1  # bytes
+    while 2 * bias >= 1 << (8 * width - 1) or len(positive) * (h - 1) >= (1 << 8 * width) - 1:
+        width += 1
+    bits = 8 * width
+    ones = _ones(len(positive), width)
+    columns = tuple(_pack([p.coroot[i] for p in positive], 0, width, ones) for i in range(rank))
+    return PackedCoroots(columns, bits, bias, ones, ones << (bits - 1))
+
+
 @dataclass(frozen=True)
 class SimpleFactor:
     """One simple factor of a root datum, fully precomputed."""
@@ -219,6 +252,9 @@ class SimpleFactor:
     rho_check: tuple[Fraction, ...]  # simple-coroot coords of the half-sum of positive coroots
     two_rho_check: tuple[int, ...]
     weyl_order: int
+    # kept out of __eq__ and __hash__: hashing a frozen dataclass hashes
+    # every compared field, and these integers are long
+    packed: PackedCoroots = field(compare=False, repr=False)
 
     @property
     def name(self) -> str:
@@ -276,6 +312,7 @@ def _build_factor(family: str, rank: int) -> SimpleFactor:
         rho_check=rho_check,
         two_rho_check=two_rho_check,
         weyl_order=_weyl_order(family, rank),
+        packed=_pack_coroots(positive, rank, h),
     )
 
 
@@ -345,7 +382,7 @@ class RootDatum:
         if len(coords) != self.rank:
             raise ValueError(f"weight has {len(coords)} coordinates, rank is {self.rank}")
         lam = tuple(int(c) for c in coords)
-        if any(c != int(v) for c, v in zip(lam, coords)):
+        if any(c != v for c, v in zip(lam, coords)):
             raise ValueError("weight coordinates must be integers")
         if dominant and any(c < 0 for c in lam):
             raise ValueError(f"weight {lam} is not dominant")

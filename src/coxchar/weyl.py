@@ -9,14 +9,11 @@ everything internal is 0-based.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .errors import CapExceeded, InternalCheckError
+from .errors import InternalCheckError
 from .lattice import IntMatrix
 from .rootdata import RootDatum, Weight
-
-DEFAULT_ENUMERATION_CAP = 5_000_000
-
 
 class WeylElement(NamedTuple):
     matrix: IntMatrix
@@ -86,42 +83,6 @@ def duality_involution(rd: RootDatum, lam: Sequence[int]) -> Weight:
     return dominant
 
 
-def enumerate_weyl(
-    rd: RootDatum, cap: int | None = DEFAULT_ENUMERATION_CAP
-) -> Iterator[WeylElement]:
-    """Yield every Weyl group element exactly once (BFS closure).
-
-    Elements are deduplicated by their integer matrix, the canonical
-    form.  Refuses upfront when the group order exceeds ``cap`` (pass
-    ``cap=None`` to override); E8 exceeds the default cap.
-    """
-    order = rd.weyl_order
-    if cap is not None and order > cap:
-        raise CapExceeded(
-            f"Weyl group of {rd.type_string} has {order} elements, "
-            f"above the enumeration cap {cap}; raise the cap to force this"
-        )
-    n = rd.rank
-    gens = [reflection_matrix(rd, i) for i in range(1, n + 1)]
-    ident = IntMatrix.identity(n)
-    seen = {ident.data}
-    frontier = [WeylElement(ident, 1, ())]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            yield el
-            for i, g in enumerate(gens, start=1):
-                m = el.matrix @ g
-                if m.data not in seen:
-                    seen.add(m.data)
-                    nxt.append(WeylElement(m, -el.sign, el.word + (i,)))
-        frontier = nxt
-    if len(seen) != order:
-        raise InternalCheckError(
-            f"BFS closure produced {len(seen)} elements, expected {order}"
-        )
-
-
 def coxeter_element(rd: RootDatum) -> WeylElement:
     """The product s_1 s_2 ... s_r of the simple reflections, in order.
 
@@ -135,13 +96,3 @@ def coxeter_element(rd: RootDatum) -> WeylElement:
         m = m @ reflection_matrix(rd, i)
     return WeylElement(m, (-1) ** rd.rank, tuple(range(1, rd.rank + 1)))
 
-
-def matrix_order(m: IntMatrix, bound: int = 10_000) -> int:
-    """Multiplicative order of an integer matrix (raises past the bound)."""
-    ident = IntMatrix.identity(m.rows)
-    p = m
-    for k in range(1, bound + 1):
-        if p == ident:
-            return k
-        p = p @ m
-    raise InternalCheckError(f"matrix order exceeds bound {bound}")

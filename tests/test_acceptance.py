@@ -129,6 +129,7 @@ def test_criterion_2_e8_fast_path():
         assert rep.value in (-1, 1)
         assert rep.endpoint_is_rho is True
     elapsed = time.monotonic() - started
+    assert elapsed < 15, f"E8 fast path took {elapsed:.1f}s, budget is 15 s"
     report(2, f"E8: 1000 regular weights fast-path ({sampled} sampled), {elapsed:.1f}s")
 
 

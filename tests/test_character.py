@@ -1,5 +1,8 @@
 import itertools
 import random
+from fractions import Fraction
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given
@@ -16,6 +19,7 @@ from coxchar.character import (
     verify_principal_cocharacter,
 )
 from coxchar.errors import InternalCheckError
+from coxchar.oracle import char_at_coxeter_oracle
 from coxchar.rootdata import build
 from coxchar.weyl import duality_involution, make_dominant
 
@@ -26,6 +30,139 @@ ALL_SIMPLE = (
     + [f"D{n}" for n in range(4, 9)]
     + ["E6", "E7", "E8", "F4", "G2"]
 )
+
+
+# types past rank 8, with 16- and 24-bit fields, and a product
+WIDE = ["A20", "B12", "C12", "D13", "A60"]
+PRODUCT = "B2xG2"
+
+
+def reference_walls_or_blocking(f, mu):
+    """The scalar loop the packed pass replaced: one divmod per positive
+    coroot, in table order."""
+    h = f.coxeter_number
+    walls = 0
+    for p in f.positive:
+        q, s = divmod(sum(map(mul, mu, p.coroot)), h)
+        if s == 0:
+            return p
+        walls += q
+    return walls
+
+
+def assert_same_as_reference(rd, mu):
+    for k, f in enumerate(rd.factors):
+        mu_k = mu[rd.factor_slice(k)]
+        got = character._walls_or_blocking(f, mu_k)
+        want = reference_walls_or_blocking(f, mu_k)
+        if isinstance(want, int):
+            assert got == want, (f.name, mu_k)
+        else:
+            assert got is want, (f.name, mu_k, got, want)  # the same RootPair of the table
+
+
+COORD_TOPS = st.sampled_from([2, 6, 40, 10**6, 10**12])
+
+
+@st.composite
+def any_mu(draw, rd):
+    """Strictly dominant weights, mostly singular for the larger types."""
+    top = draw(COORD_TOPS)
+    return tuple(draw(st.lists(st.integers(1, top), min_size=rd.rank, max_size=rd.rank)))
+
+
+@st.composite
+def regular_mu(draw, rd):
+    """a * rho + h * nu, with a prime to h and nu >= 0, per factor:
+    <mu, beta_vee> = a * height(beta_vee) mod h, never 0 since every
+    coroot height is below h.  a = 1 gives rho * (1 + h * s); a = h - 1
+    fills every field to its bound (h - 1)^2 before the reduction."""
+    top = draw(COORD_TOPS)
+    mu = []
+    for f in rd.factors:
+        h = f.coxeter_number
+        a = draw(st.sampled_from([a for a in range(1, h) if gcd(a, h) == 1]))
+        nu = draw(st.lists(st.integers(0, top // h), min_size=f.rank, max_size=f.rank))
+        mu += [a + h * c for c in nu]
+    return tuple(mu)
+
+
+class TestPackedPass:
+    """The packed pass against the scalar loop it replaced: the same wall
+    count, or the same first blocking coroot in table order."""
+
+    @pytest.mark.parametrize("t", ALL_SIMPLE + WIDE + [PRODUCT])
+    @given(data=st.data())
+    def test_matches_reference(self, t, data):
+        rd = build(t)
+        assert_same_as_reference(rd, data.draw(any_mu(rd) | regular_mu(rd)))
+
+    @pytest.mark.parametrize("t", ALL_SIMPLE + WIDE)
+    def test_fullest_fields_and_first_witnesses(self, t):
+        rd = build(t)
+        (f,) = rd.factors
+        h = f.coxeter_number
+        # every coordinate h - 1 mod h: the field of beta holds
+        # (h - 1) * height(beta_vee) before the reduction, (h - 1)^2 at the
+        # highest coroot
+        assert_same_as_reference(rd, (h - 1,) * f.rank)
+        assert_same_as_reference(rd, (10**12 * h - 1,) * f.rank)
+        # h * rho is blocked by every coroot; the witness is the first
+        assert character._walls_or_blocking(f, (h,) * f.rank) is f.positive[0]
+        # blocked only by the highest coroot: raise rho by 1 at a
+        # coordinate where gamma_vee is 1, which no other coroot exceeds
+        gamma = f.highest_coroot
+        if 1 in gamma.coroot:
+            mu = tuple(1 + (i == gamma.coroot.index(1)) for i in range(f.rank))
+            assert character._walls_or_blocking(f, mu) is gamma
+            assert reference_walls_or_blocking(f, mu) is gamma
+
+    @pytest.mark.parametrize("t", ALL_SIMPLE + WIDE)
+    def test_field_width_is_the_least_that_holds(self, t):
+        (f,) = build(t).factors
+        h = f.coxeter_number
+        k = f.packed
+        assert max(p.coroot_height for p in f.positive) == h - 1  # so <m, beta_vee> <= (h - 1)^2
+        assert k.bias % h == 0 and 2 * k.bias >= (h - 1) ** 2 > 2 * (k.bias - h)
+
+        def holds(bits):
+            return 2 * k.bias < 1 << (bits - 1) and len(f.positive) * (h - 1) < (1 << bits) - 1
+
+        assert k.bits % 8 == 0 and holds(k.bits)
+        if k.bits - 8 >= 8:
+            assert not holds(k.bits - 8)
+        assert k.ones == sum(1 << (k.bits * t) for t in range(len(f.positive)))
+        assert k.high == k.ones << (k.bits - 1)
+
+    def test_widths(self):
+        bits = {t: build(t).factors[0].packed.bits for t in ALL_SIMPLE + WIDE}
+        assert {bits[t] for t in ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2", "D4"]} == {8}
+        assert bits["E8"] == bits["B12"] == bits["A20"] == 16
+        assert bits["A60"] == 24
+
+
+class TestWeightValidation:
+    ENTRY_POINTS = {
+        "validate_weight": lambda rd, lam: rd.validate_weight(lam),
+        "char_at_coxeter": char_at_coxeter,
+        "regularity_test": regularity_test,
+        "fs_indicator": fs_indicator,
+        "char_at_coxeter_oracle": char_at_coxeter_oracle,
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), 0.9])
+    def test_non_integral_coordinate_raises(self, entry, bad):
+        with pytest.raises(ValueError, match="must be integers"):
+            self.ENTRY_POINTS[entry](build("A2"), (bad, 1))
+        with pytest.raises(ValueError, match="must be integers"):
+            self.ENTRY_POINTS[entry](build("A2"), (1, bad))
+
+    def test_integral_float_is_accepted(self):
+        rd = build("A2")
+        lam = rd.validate_weight((2.0, Fraction(4, 2)))
+        assert lam == (2, 2) and all(type(c) is int for c in lam)
+        assert char_at_coxeter(rd, (2.0, 0)) == char_at_coxeter(rd, (2, 0))
 
 
 class TestRegularity:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -307,3 +308,142 @@ def test_stdout_matches_schema(capsys, branch, argv):
     jsonschema.Draft202012Validator(schema).validate(doc)
     only_branch = {**schema, "oneOf": [{"$ref": f"#/$defs/{branch}"}]}
     jsonschema.Draft202012Validator(only_branch).validate(doc)
+
+
+# Pinned stdout of the fast path: the byte-exact output of the scalar
+# loop over the positive coroots that the packed pass replaced.
+CHAR_E8_SINGULAR = """\
+{
+  "char": {
+    "blocking_coroot": {
+      "coroot": [
+        0,
+        1,
+        1,
+        2,
+        2,
+        2,
+        2,
+        1
+      ],
+      "factor": 0,
+      "pairing_mod_h": 0,
+      "root": [
+        -1,
+        0,
+        0,
+        0,
+        0,
+        0,
+        1,
+        0
+      ],
+      "simple_coords": [
+        0,
+        1,
+        1,
+        2,
+        2,
+        2,
+        2,
+        1
+      ]
+    },
+    "factors": [
+      {
+        "regular": false,
+        "value": 0
+      }
+    ],
+    "regular": false,
+    "value": 0
+  },
+  "lambda": [
+    3,
+    0,
+    2,
+    1,
+    0,
+    4,
+    1,
+    5
+  ],
+  "schema_version": "1",
+  "type": "E8"
+}
+"""
+
+CHAR_A20_REGULAR = """\
+{
+  "char": {
+    "endpoint_is_rho": true,
+    "factors": [
+      {
+        "regular": true,
+        "sign_parity": 1,
+        "steps": 1825,
+        "value": -1
+      }
+    ],
+    "regular": true,
+    "sign_parity": 1,
+    "value": -1
+  },
+  "lambda": [
+    1,
+    22,
+    43,
+    1,
+    64,
+    22,
+    1,
+    1,
+    85,
+    22,
+    43,
+    1,
+    1,
+    22,
+    64,
+    1,
+    22,
+    1,
+    43,
+    22
+  ],
+  "schema_version": "1",
+  "type": "A20"
+}
+"""
+
+# 256 rows (40,786 bytes): 241 values 0, 11 values 1, 4 values -1
+TABLE_E8_SHA256 = "0ebe4d748e0b5d566f0389521202c16ff4c60eefb22d94c643216b24455e2d7e"
+
+CHAR_CASES = [
+    (["char", "E8", "3", "0", "2", "1", "0", "4", "1", "5"], CHAR_E8_SINGULAR),
+    (["char", "A20", *"1 22 43 1 64 22 1 1 85 22 43 1 1 22 64 1 22 1 43 22".split()],
+     CHAR_A20_REGULAR),
+]
+
+
+def assert_in_schema_branch(out, branch):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(SCHEMA_PATH.read_text())
+    only_branch = {**schema, "oneOf": [{"$ref": f"#/$defs/{branch}"}]}
+    jsonschema.Draft202012Validator(only_branch).validate(json.loads(out))
+
+
+@pytest.mark.parametrize("argv, expected", CHAR_CASES, ids=["E8 singular", "A20 regular"])
+def test_char_stdout_is_pinned(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out == expected
+    assert_in_schema_branch(out, "char")
+
+
+def test_table_e8_stdout_is_pinned(capsys):
+    code, out, _ = run(capsys, "table", "E8", "--max-coord", "1")
+    assert code == EXIT_OK
+    assert len(out) == 40_786
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_E8_SHA256
+    assert_in_schema_branch(out, "table")

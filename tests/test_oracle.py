@@ -19,7 +19,8 @@ from coxchar.oracle import (
     weyl_numerator,
 )
 from coxchar.rootdata import build
-from coxchar.weyl import enumerate_weyl, simple_reflection
+from coxchar.weyl import simple_reflection
+from weyl_reference import enumerate_weyl
 
 
 class TestWeylNumerator:

@@ -18,7 +18,8 @@ from coxchar.torsion import (
     duality_report,
     torsion_points,
 )
-from coxchar.weyl import _reflect, enumerate_weyl
+from coxchar.weyl import _reflect
+from weyl_reference import enumerate_weyl
 
 
 class TestPresentations:

@@ -9,12 +9,11 @@ from coxchar.rootdata import build, pairing
 from coxchar.weyl import (
     coxeter_element,
     duality_involution,
-    enumerate_weyl,
     make_dominant,
-    matrix_order,
     reflection_matrix,
     simple_reflection,
 )
+from weyl_reference import enumerate_weyl, matrix_order
 
 SMALL_TYPES = ["A1", "A2", "B2", "G2", "A1xA1"]
 

@@ -1,0 +1,65 @@
+"""Whole-group Weyl enumeration, kept for the tests as a reference.
+
+The library never lists a Weyl group: the oracle walks one orbit along
+a parabolic chain and the census walks residue classes.  These helpers
+enumerate every element as an integer matrix, which is slow but plain,
+so the tests can check those walkers against a brute-force sum.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+from coxchar.errors import CapExceeded, InternalCheckError
+from coxchar.lattice import IntMatrix
+from coxchar.rootdata import RootDatum
+from coxchar.weyl import WeylElement, reflection_matrix
+
+DEFAULT_ENUMERATION_CAP = 5_000_000
+
+
+def enumerate_weyl(
+    rd: RootDatum, cap: int | None = DEFAULT_ENUMERATION_CAP
+) -> Iterator[WeylElement]:
+    """Yield every Weyl group element exactly once (BFS closure).
+
+    Elements are deduplicated by their integer matrix, the canonical
+    form.  Refuses upfront when the group order exceeds ``cap`` (pass
+    ``cap=None`` to override); E8 exceeds the default cap.
+    """
+    order = rd.weyl_order
+    if cap is not None and order > cap:
+        raise CapExceeded(
+            f"Weyl group of {rd.type_string} has {order} elements, "
+            f"above the enumeration cap {cap}; raise the cap to force this"
+        )
+    n = rd.rank
+    gens = [reflection_matrix(rd, i) for i in range(1, n + 1)]
+    ident = IntMatrix.identity(n)
+    seen = {ident.data}
+    frontier = [WeylElement(ident, 1, ())]
+    while frontier:
+        nxt = []
+        for el in frontier:
+            yield el
+            for i, g in enumerate(gens, start=1):
+                m = el.matrix @ g
+                if m.data not in seen:
+                    seen.add(m.data)
+                    nxt.append(WeylElement(m, -el.sign, el.word + (i,)))
+        frontier = nxt
+    if len(seen) != order:
+        raise InternalCheckError(
+            f"BFS closure produced {len(seen)} elements, expected {order}"
+        )
+
+
+def matrix_order(m: IntMatrix, bound: int = 10_000) -> int:
+    """Multiplicative order of an integer matrix (raises past the bound)."""
+    ident = IntMatrix.identity(m.rows)
+    p = m
+    for k in range(1, bound + 1):
+        if p == ident:
+            return k
+        p = p @ m
+    raise InternalCheckError(f"matrix order exceeds bound {bound}")
