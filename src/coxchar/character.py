@@ -415,7 +415,7 @@ def verify_principal_cocharacter(rd: RootDatum) -> tuple[PrincipalCocharacterRep
         # adjoint order: m * rho_check / h lands in P_vee iff all <alpha_i, .> integral
         denoms = []
         for i in range(r):
-            v = sum(Fraction(f.cartan[j][i]) * f.rho_check[j] for j in range(r)) / h
+            v = Fraction(sum(f.cartan[j][i] * f.two_rho_check[j] for j in range(r)), 2 * h)
             denoms.append(v.denominator)
         adjoint_order = lcm(*denoms) if denoms else 1
         heights_ok = all(p.height % h != 0 for p in f.positive)

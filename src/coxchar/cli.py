@@ -113,9 +113,14 @@ def _iter_box(rank: int, max_coord: int):
     return iproduct(range(max_coord + 1), repeat=rank)
 
 
-def cmd_table(args) -> int:
-    if args.max_coord < 0:
+def _check_max_coord(max_coord: int) -> None:
+    # an empty box would check nothing and still report success
+    if max_coord < 0:
         raise ValueError("--max-coord must be >= 0")
+
+
+def cmd_table(args) -> int:
+    _check_max_coord(args.max_coord)
     rd = build(args.type)
     rows = []
     for lam in _iter_box(rd.rank, args.max_coord):
@@ -139,6 +144,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_max_coord(args.max_coord)
+    if args.random is not None and args.random < 1:
+        raise ValueError("--random must be >= 1")
     rd = build(args.type)
     if args.random is not None:
         rng = random.Random(args.seed)  # Mersenne Twister; documented, reproducible
@@ -187,6 +195,7 @@ DEFAULT_BATTERY = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "G2", "F4"]
 
 def cmd_check_all(args) -> int:
     """Run the verification battery over a list of types."""
+    _check_max_coord(args.max_coord)
     types = args.types or DEFAULT_BATTERY
     started = time.monotonic()
     results = []

@@ -4,6 +4,12 @@ Values are integer (or rational) polynomials in zeta_N reduced modulo
 the N-th cyclotomic polynomial Phi_N, so the coefficient vector of
 length phi(N) is a canonical form: equal values have equal vectors.
 Polynomials are coefficient lists, low degree first.
+
+Division in QQ(zeta_N) goes by the Galois norm: for b != 0 the product
+of sigma_k(b) over the units k mod N (sigma_k: zeta_N -> zeta_N^k) is
+a nonzero rational integer Norm(b), so a / b is a * rest / Norm(b) with
+rest the product over k != 1.  All of it is integer arithmetic in
+ZZ[zeta_N] until the final Fraction(c, Norm(b)) per coefficient.
 """
 
 from __future__ import annotations
@@ -12,7 +18,10 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, prod
 from typing import Sequence
+
+from .errors import InternalCheckError
 
 
 def _poly_trim(p: list) -> list:
@@ -166,73 +175,31 @@ class CyclotomicRational:
         return NotImplemented
 
 
-def _frac_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = [Fraction(x) for x in num]
-    quo = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    lead = den[-1]
-    for i in range(len(num) - 1, len(den) - 2, -1):
-        c = num[i] / lead
-        if c:
-            quo[i - (len(den) - 1)] = c
-            for j, b in enumerate(den):
-                num[i - (len(den) - 1) + j] -= c * b
-    while num and num[-1] == 0:
-        num.pop()
-    return quo, num
-
-
-def _frac_xgcd(a: list[Fraction], b: list[Fraction]):
-    """Extended Euclid in QQ[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _frac_divmod(r0, r1)
-
-        def step(u0, u1):
-            qu = [Fraction(0)] * (len(q) + len(u1) - 1) if q and u1 else []
-            for i, x in enumerate(q):
-                for j, y in enumerate(u1):
-                    qu[i + j] += x * y
-            out = [Fraction(0)] * max(len(u0), len(qu))
-            for i, x in enumerate(u0):
-                out[i] += x
-            for i, x in enumerate(qu):
-                out[i] -= x
-            while out and out[-1] == 0:
-                out.pop()
-            return out
-
-        r0, r1 = r1, r
-        s0, s1 = s1, step(s0, s1)
-        t0, t1 = t1, step(t0, t1)
-    return r0, s0, t0
+def _galois(b: CyclotomicInt, k: int) -> CyclotomicInt:
+    """sigma_k(b), the image of b under zeta_N -> zeta_N^k."""
+    n = b.conductor
+    moved = [0] * n
+    for i, c in enumerate(b.coeffs):
+        moved[i * k % n] += c
+    return CyclotomicInt.from_poly(n, moved)
 
 
 def divide_exact(num: CyclotomicInt, den: CyclotomicInt) -> CyclotomicRational:
-    """Exact quotient num/den in QQ(zeta_N).
+    """Exact quotient num/den in QQ(zeta_N), by the Galois norm of den.
 
-    Phi_N is irreducible over QQ, so any nonzero denominator is
-    invertible mod Phi_N; the inverse comes from the extended Euclidean
-    algorithm.  Raises ZeroDivisionError on a zero denominator.
+    Raises ZeroDivisionError on a zero denominator and InternalCheckError
+    if den * rest is not a nonzero rational integer.
     """
     if num.conductor != den.conductor:
         raise ValueError("conductor mismatch in division")
     if not den:
         raise ZeroDivisionError("division by zero in QQ(zeta_N)")
     n = num.conductor
-    phi_n = [Fraction(c) for c in cyclotomic_polynomial(n)]
-    den_poly = [Fraction(c) for c in den.coeffs]
-    while den_poly and den_poly[-1] == 0:
-        den_poly.pop()
-    g, s, _ = _frac_xgcd(den_poly, phi_n)
-    assert len(g) == 1, "denominator shares a factor with Phi_N"
-    inv = [c / g[0] for c in s]
-    prod = [Fraction(0)] * (len(num.coeffs) + len(inv))
-    for i, a in enumerate(num.coeffs):
-        if a:
-            for j, b in enumerate(inv):
-                prod[i + j] += a * b
-    _, rem = _frac_divmod(prod, phi_n)
-    rem += [Fraction(0)] * (len(phi_n) - 1 - len(rem))
-    return CyclotomicRational(n, tuple(rem))
+    units = (k for k in range(2, n) if gcd(k, n) == 1)
+    rest = prod((_galois(den, k) for k in units), start=CyclotomicInt.one(n))
+    norm = (den * rest).as_integer()
+    if not norm:
+        raise InternalCheckError(
+            f"Galois norm of {list(den.coeffs)} mod Phi_{n} is not a nonzero integer"
+        )
+    return CyclotomicRational(n, tuple(Fraction(c, norm) for c in (num * rest).coeffs))

@@ -35,7 +35,6 @@ import struct
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -220,13 +219,13 @@ class CoxeterEvaluation:
         e = f.center.exponent
         n = f.coxeter_number * e
         exps = []
-        for coord in f.rho_check:
-            v = Fraction(e) * coord
-            if v.denominator != 1:
+        for coord in f.two_rho_check:
+            v, odd = divmod(e * coord, 2)
+            if odd:
                 raise InternalCheckError(
                     f"conductor {n} does not clear the exponent denominators of {f.name}"
                 )
-            exps.append(int(v))
+            exps.append(v)
         return cls(factor=f, conductor=n, weight_exponents=tuple(exps))
 
     def _signed_orbit(self) -> tuple[str, tuple[SignClass, ...]]:

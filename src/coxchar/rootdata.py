@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import factorial
 from typing import NamedTuple, Sequence
 
@@ -249,8 +248,7 @@ class SimpleFactor:
     coxeter_number: int
     center: FiniteAbelianGroup
     highest_coroot: RootPair
-    rho_check: tuple[Fraction, ...]  # simple-coroot coords of the half-sum of positive coroots
-    two_rho_check: tuple[int, ...]
+    two_rho_check: tuple[int, ...]  # simple-coroot coords of the sum of positive coroots
     weyl_order: int
     # kept out of __eq__ and __hash__: hashing a frozen dataclass hashes
     # every compared field, and these integers are long
@@ -295,10 +293,9 @@ def _build_factor(family: str, rank: int) -> SimpleFactor:
     two_rho_check = tuple(
         sum(p.coroot[j] for p in positive) for j in range(rank)
     )
-    rho_check = tuple(Fraction(x, 2) for x in two_rho_check)
     # <alpha_i, rho_check> = 1 is the identity everything downstream leans on
     for i in range(rank):
-        if sum(Fraction(a[j][i]) * rho_check[j] for j in range(rank)) != 1:
+        if sum(a[j][i] * two_rho_check[j] for j in range(rank)) != 2:
             raise AssertionError("<alpha_i, rho_check> != 1")
 
     return SimpleFactor(
@@ -309,7 +306,6 @@ def _build_factor(family: str, rank: int) -> SimpleFactor:
         coxeter_number=h,
         center=center,
         highest_coroot=highest,
-        rho_check=rho_check,
         two_rho_check=two_rho_check,
         weyl_order=_weyl_order(family, rank),
         packed=_pack_coroots(positive, rank, h),

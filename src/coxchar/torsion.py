@@ -35,7 +35,7 @@ from operator import mul, or_, xor
 from typing import Iterator, Optional, Sequence
 
 from .errors import CapExceeded, InternalCheckError
-from .lattice import FiniteAbelianGroup, IntMatrix, _ones, _pack, apply_mod, quotient
+from .lattice import FiniteAbelianGroup, _ones, _pack, apply_mod, quotient
 from .rootdata import RootDatum, pairing
 from .weyl import _reflect
 
@@ -111,7 +111,10 @@ def duality_report(
     so memory does not grow with ``trials``.  The witness is the earliest
     failing trial, with reflection None when x and x2 already differ and
     otherwise the first simple reflection (1-based) that separates them.
+    Raises ValueError for n < 1 or trials < 1.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     tp = torsion_points(rd, n)
     cg = char_group_of_torsion(rd, n)
     if cg.order > cap:
@@ -131,12 +134,6 @@ def duality_report(
     )
 
 
-def _reflect_packed(cartan: IntMatrix, cols: Sequence[int], j: int) -> list[int]:
-    """s_{j+1} on packed coordinate columns: c_k -> c_k - c_j * A[k][j]."""
-    cj = cols[j]
-    return [c - cj * cartan[k][j] for k, c in enumerate(cols)]
-
-
 def _first_failure(
     rd: RootDatum, group: FiniteAbelianGroup, n: int, trials: int, seed: int
 ) -> Optional[dict]:
@@ -145,7 +142,8 @@ def _first_failure(
 
     A chunk of trials is drawn in trial order, and coordinate k of x (of
     m) over the chunk becomes one integer with a field per trial, so x2
-    is r packed multiply-adds and each simple reflection is r more.  x,
+    is r packed multiply-adds and each simple reflection (``_reflect``,
+    linear, so it takes packed columns as coordinates) is r more.  x,
     x2, s_j(x) and s_j(x2) are each projected as actual weight vectors
     (``FiniteAbelianGroup.project_packed``), never as differences, and
     their packed residues are compared by XOR: the lowest set bit of the
@@ -170,9 +168,7 @@ def _first_failure(
         cols = [_pack(draws[k :: 2 * r], lo, width, ones) for k, (lo, _) in enumerate(spans)]
         x, m = cols[:r], cols[r:]
         x2 = [c + n * sum(map(mul, row, m)) for c, row in zip(x, cartan.data)]
-        pairs = [(x, x2)] + [
-            (_reflect_packed(cartan, x, j), _reflect_packed(cartan, x2, j)) for j in range(r)
-        ]
+        pairs = [(x, x2)] + [(_reflect(cartan, x, j), _reflect(cartan, x2, j)) for j in range(r)]
         project = partial(group.project_packed, bound=bound, bits=bits, ones=ones)
         # per check, the fields of the trials where some residue differs
         mismatches = [reduce(or_, map(xor, project(u), project(v)), 0) for u, v in pairs]

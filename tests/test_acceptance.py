@@ -248,4 +248,5 @@ def test_criterion_9_cyclotomic_core():
             exact = char_at_coxeter_oracle(rd, lam)
             assert abs(float_shadow(rd, lam) - exact) < 1e-6
     elapsed = time.monotonic() - started
+    assert elapsed < 10, f"criterion 9 took {elapsed:.1f}s, budget is 10 s"
     report(9, f"Phi products to N=200, 10^4 division round-trips, shadows, {elapsed:.1f}s")

@@ -170,6 +170,19 @@ class TestVerify:
         assert code == EXIT_CAP
         assert "696729600" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--max-coord", "-1"], "--max-coord must be >= 0"),
+        (["--random", "5", "--max-coord", "-1"], "--max-coord must be >= 0"),
+        (["--random", "0"], "--random must be >= 1"),
+        (["--random", "-3"], "--random must be >= 1"),
+    ])
+    def test_empty_sweep_usage_error(self, capsys, argv, message):
+        # a sweep of no weights would check nothing and still exit 0
+        code, out, err = run(capsys, "verify", "A2", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
+
 
 TORSION_A5_6 = """\
 {
@@ -263,6 +276,13 @@ class TestTorsion:
         code, doc, _ = run_json(capsys, "torsion", "A2", "1")
         assert doc["orbits"]["regular_orbits"] == 0
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_no_trials_usage_error(self, capsys, trials):
+        code, out, err = run(capsys, "torsion", "A2", "3", "--trials", trials)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "trials must be >= 1" in err
+
     @pytest.mark.parametrize("t, n, expected", [
         ("A5", "6", TORSION_A5_6), ("F4", "12", TORSION_F4_12)
     ])
@@ -280,6 +300,13 @@ class TestCheckAll:
         assert code == EXIT_OK
         assert doc["all_passed"] is True
         assert "PASS" in err
+
+    def test_negative_bound_usage_error(self, capsys):
+        # the oracle sweep over an empty box would report agreement
+        code, out, err = run(capsys, "check-all", "A2", "--max-coord", "-1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--max-coord must be >= 0" in err
 
 
 # (schema branch, argv): every subcommand, with and without the oracle

@@ -1,10 +1,11 @@
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from coxchar import cyclotomic
 from coxchar.cyclotomic import (
     CyclotomicInt,
     cyclotomic_polynomial,
@@ -12,6 +13,7 @@ from coxchar.cyclotomic import (
     phi_degree,
     zeta_pow,
 )
+from coxchar.errors import InternalCheckError
 
 
 class TestCyclotomicPolynomial:
@@ -147,3 +149,27 @@ class TestDivideExact:
             if not b:
                 continue
             assert divide_exact(a * b, b) == a
+
+    # the oracle's conductors h * e reach N = 100 at A9
+    @pytest.mark.parametrize("n", [4, 5, 8, 12, 28, 36, 48, 100])
+    def test_non_exact_quotient_is_certified(self, n):
+        # D * q is integral for D the lcm of the denominators of q, and
+        # (D * q) * b == D * a is checked by multiplication alone
+        rng = random.Random(n)
+        deg = phi_degree(n)
+        for _ in range(6):
+            a = CyclotomicInt(n, tuple(rng.randint(-99, 99) for _ in range(deg)))
+            b = CyclotomicInt(n, tuple(rng.randint(-99, 99) for _ in range(deg)))
+            q = divide_exact(a, b)
+            d = lcm(*(c.denominator for c in q.coeffs))
+            assert d > 1, "the quotient should not be exact"
+            dq = CyclotomicInt(n, tuple(int(d * c) for c in q.coeffs))
+            assert dq * b == CyclotomicInt(n, tuple(d * c for c in a.coeffs))
+            assert abs(q.to_complex() - a.to_complex() / b.to_complex()) < 1e-9
+
+    def test_norm_that_is_not_an_integer_raises(self, monkeypatch):
+        # with sigma_k the identity, den * rest = den^phi(N) is no integer
+        monkeypatch.setattr(cyclotomic, "_galois", lambda b, k: b)
+        den = CyclotomicInt.from_poly(12, [1, 2])
+        with pytest.raises(InternalCheckError, match="Galois norm"):
+            divide_exact(CyclotomicInt.one(12), den)

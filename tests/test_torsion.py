@@ -54,6 +54,12 @@ class TestPresentations:
 
 
 class TestDualityReport:
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_rejects_no_trials(self, trials):
+        # zero trials would check nothing and still report passed
+        with pytest.raises(ValueError, match="trials"):
+            duality_report(build("A2"), 3, trials=trials)
+
     def test_a1_all_n(self):
         rd = build("A1")
         for n in range(1, 13):
@@ -123,7 +129,7 @@ def check_on_the_coweight_side(monkeypatch):
 
 
 def reflect_with_the_transpose(monkeypatch):
-    monkeypatch.setattr(torsion, "_reflect_packed", transposed_reflect)
+    monkeypatch.setattr(torsion, "_reflect", transposed_reflect)
 
 
 class TestWellDefinedCanFail:
@@ -392,7 +398,7 @@ def reference_duality_report(rd, n, trials=1000, seed=0, reflect=_reflect):
 
 
 CHUNK = torsion._CHUNK_TRIALS
-TRIAL_COUNTS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 1000]
+TRIAL_COUNTS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 1000]
 DUALITY_TYPES = [
     "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4",
     "D4", "D5", "G2", "F4", "E6", "A1xA2", "B2xG2",
@@ -455,7 +461,7 @@ def test_failing_reports_match_reference(monkeypatch, patch, t):
 
 def test_reflection_outside_the_bound_raises(monkeypatch):
     # coordinates past the exact bound leave their packed fields
-    monkeypatch.setattr(torsion, "_reflect_packed", lambda cartan, cols, j: [1000 * c for c in cols])
+    monkeypatch.setattr(torsion, "_reflect", lambda cartan, cols, j: [1000 * c for c in cols])
     with pytest.raises(InternalCheckError, match="left its fields"):
         duality_report(build("B3"), 4, trials=10)
 

@@ -86,12 +86,12 @@ class TestMakeDominant:
         # <x, rho_check> strictly increases per step, so in total
         t, lam = tw
         rd = build(t)
-        rho_check = []
+        two_rho_check = []
         for k, f in enumerate(rd.factors):
-            rho_check.extend(f.rho_check)
+            two_rho_check.extend(f.two_rho_check)
         dom, _, steps = make_dominant(rd, lam)
-        before = pairing(lam, rho_check)
-        after = pairing(dom, rho_check)
+        before = pairing(lam, two_rho_check)
+        after = pairing(dom, two_rho_check)
         assert after >= before
         assert (after == before) == (steps == 0)
 
