@@ -217,7 +217,7 @@ def cmd_check_all(args) -> int:
                         orbits.regular_orbits_with_image_order_n == 1
                         and orbits.rho_in_distinguished_orbit
                     )
-            dual = duality_report(rd, 2, trials=100, seed=args.seed)
+            dual = duality_report(rd, 2, trials=100, seed=args.seed, cap=args.cap)
             entry["torsion_duality_ok"] = dual.passed
             if rd.weyl_order <= args.weyl_cap:
                 bad = 0

@@ -10,9 +10,6 @@ Conventions, fixed once and documented in the README:
   basis; a coweight is a tuple (rational in general) in the simple-coroot
   basis.  With these bases ``<weight, coweight>`` is the plain dot
   product of coordinate tuples.
-* Root lengths are normalised per simple factor so that short roots have
-  squared length 2; only the long:short ratio (2 for B/C/F, 3 for G)
-  enters coroot formation.
 
 Product types concatenate blocks along the diagonal; per-factor data
 (Coxeter number, highest coroot, ...) is retained on the factors.
@@ -21,8 +18,10 @@ Product types concatenate blocks along the diagonal; per-factor data
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from math import factorial
+from math import prod
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .lattice import FiniteAbelianGroup, IntMatrix, _ones, _pack, quotient
@@ -66,20 +65,14 @@ def parse_cartan_type(type_string: str) -> CartanType:
     return CartanType(tuple(factors))
 
 
-def _cartan_and_lengths(family: str, rank: int) -> tuple[list[list[int]], list[int]]:
-    """Cartan matrix A[i][j] = <alpha_j, alpha_i_vee> and the symmetrizer.
-
-    The symmetrizer d gives squared lengths 2*d[i]; d[i] = 1 for short
-    roots and the length ratio for long ones, making A[j][i]*d[j] a
-    symmetric integer matrix.
-    """
+def _cartan(family: str, rank: int) -> list[list[int]]:
+    """Cartan matrix A[i][j] = <alpha_j, alpha_i_vee>."""
     a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
 
     def link(i: int, j: int) -> None:
         a[i][j] = -1
         a[j][i] = -1
 
-    d = [1] * rank
     if family == "A":
         for i in range(rank - 1):
             link(i, i + 1)
@@ -87,12 +80,10 @@ def _cartan_and_lengths(family: str, rank: int) -> tuple[list[list[int]], list[i
         for i in range(rank - 1):
             link(i, i + 1)
         a[rank - 1][rank - 2] = -2
-        d = [2] * (rank - 1) + [1]
     elif family == "C":  # alpha_rank is the long root
         for i in range(rank - 1):
             link(i, i + 1)
         a[rank - 2][rank - 1] = -2
-        d = [1] * (rank - 1) + [2]
     elif family == "D":
         for i in range(rank - 2):
             link(i, i + 1)
@@ -107,18 +98,12 @@ def _cartan_and_lengths(family: str, rank: int) -> tuple[list[list[int]], list[i
         link(1, 2)
         link(2, 3)
         a[2][1] = -2
-        d = [2, 2, 1, 1]
     elif family == "G":  # alpha_1 short, alpha_2 long
         a[0][1] = -3
         a[1][0] = -1
-        d = [1, 3]
     else:  # pragma: no cover
         raise ValueError(f"unknown family {family!r}")
-    for i in range(rank):
-        for j in range(rank):
-            if a[j][i] * d[j] != a[i][j] * d[i]:
-                raise AssertionError(f"{family}{rank}: Cartan matrix not symmetrizable")
-    return a, d
+    return a
 
 
 class RootPair(NamedTuple):
@@ -142,66 +127,40 @@ class RootPair(NamedTuple):
         return sum(self.simple_coords)
 
 
-def _positive_roots(a: list[list[int]], d: list[int]) -> list[RootPair]:
-    """All positive roots by string closure from the simple roots.
+def _positive_roots(a: list[list[int]]) -> list[RootPair]:
+    """All positive roots and their coroots, raised from the simple roots.
 
-    Works entirely in simple-root coordinates: beta + alpha_i is a root
-    iff the alpha_i-string through beta has q = p - <beta, alpha_i_vee>
-    >= 1, where p counts how far the string descends.  No inner products
-    beyond Cartan pairings are used.
+    A root beta has fundamental-weight coordinates x_i = <beta, alpha_i_vee>,
+    and s_i beta = beta - x_i alpha_i is a higher positive root exactly when
+    x_i < 0.  W moves coroots with roots: (s_i beta)_vee = beta_vee -
+    <alpha_i, beta_vee> alpha_i_vee.  Every positive root is reached from a
+    simple root by such raising reflections (Humphreys, *Introduction to
+    Lie Algebras*, 10.2).  The table is sorted by height, then simple
+    coordinates.
     """
     rank = len(a)
+    cols = [tuple(row[i] for row in a) for i in range(rank)]  # alpha_i
     simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    roots = [RootPair(root=col, simple_coords=e, coroot=e) for col, e in zip(cols, simple)]
     known = set(simple)
-    layer = list(simple)
-    while layer:
-        nxt = []
-        for b in layer:
-            for i in range(rank):
-                pairing = sum(a[i][j] * b[j] for j in range(rank))
-                p = 0
-                probe = list(b)
-                while True:
-                    probe[i] -= 1
-                    if probe[i] < 0 or tuple(probe) not in known:
-                        break
-                    p += 1
-                if p - pairing >= 1:
-                    up = list(b)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in known:
-                        known.add(cand)
-                        nxt.append(cand)
-        layer = nxt
-
-    gram = [[a[k][j] * d[k] for k in range(rank)] for j in range(rank)]  # (alpha_j, alpha_k)
-    pairs = []
-    for b in sorted(known, key=lambda t: (sum(t), t)):
-        len2 = sum(b[j] * b[k] * gram[j][k] for j in range(rank) for k in range(rank))
-        if len2 % 2 != 0:
-            raise AssertionError("odd squared length")
-        d_beta = len2 // 2
-        coroot = []
-        for j in range(rank):
-            num = b[j] * d[j]
-            if num % d_beta != 0:
-                raise AssertionError("non-integral coroot")
-            coroot.append(num // d_beta)
-        fw = tuple(sum(a[i][j] * b[j] for j in range(rank)) for i in range(rank))
-        pairs.append(RootPair(root=fw, simple_coords=b, coroot=tuple(coroot)))
-    return pairs
-
-
-def _weyl_order(family: str, rank: int) -> int:
-    if family == "A":
-        return factorial(rank + 1)
-    if family in ("B", "C"):
-        return 2**rank * factorial(rank)
-    if family == "D":
-        return 2 ** (rank - 1) * factorial(rank)
-    return {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
-            ("F", 4): 1152, ("G", 2): 12}[(family, rank)]
+    for x, b, c in roots:  # grows while it is walked
+        for i, xi in enumerate(x):
+            if xi >= 0:
+                continue
+            up = b[:i] + (b[i] - xi,) + b[i + 1 :]
+            if up not in known:
+                known.add(up)
+                ci = c[i] - sum(map(mul, c, cols[i]))
+                roots.append(
+                    RootPair(
+                        root=tuple(u - xi * v for u, v in zip(x, cols[i])),
+                        simple_coords=up,
+                        coroot=c[:i] + (ci,) + c[i + 1 :],
+                    )
+                )
+    if any(sum(map(mul, p.root, p.coroot)) != 2 for p in roots):
+        raise AssertionError("<beta, beta_vee> != 2")
+    return sorted(roots, key=lambda p: (p.height, p.simple_coords))
 
 
 class PackedCoroots(NamedTuple):
@@ -264,9 +223,9 @@ class SimpleFactor:
 
 
 def _build_factor(family: str, rank: int) -> SimpleFactor:
-    a, d = _cartan_and_lengths(family, rank)
+    a = _cartan(family, rank)
     cartan = IntMatrix.from_rows(a)
-    positive = _positive_roots(a, d)
+    positive = _positive_roots(a)
 
     num_roots = 2 * len(positive)
     if num_roots % rank != 0:
@@ -298,6 +257,11 @@ def _build_factor(family: str, rank: int) -> SimpleFactor:
         if sum(a[j][i] * two_rho_check[j] for j in range(rank)) != 2:
             raise AssertionError("<alpha_i, rho_check> != 1")
 
+    # Kostant: the exponents are m_j = #{heights k : at least j positive
+    # roots have height k}, and |W| = prod (1 + m_j) (Chevalley)
+    per_height = Counter(p.height for p in positive).values()
+    weyl_order = prod(1 + sum(n >= j for n in per_height) for j in range(1, rank + 1))
+
     return SimpleFactor(
         family=family,
         rank=rank,
@@ -307,7 +271,7 @@ def _build_factor(family: str, rank: int) -> SimpleFactor:
         center=center,
         highest_coroot=highest,
         two_rho_check=two_rho_check,
-        weyl_order=_weyl_order(family, rank),
+        weyl_order=weyl_order,
         packed=_pack_coroots(positive, rank, h),
     )
 

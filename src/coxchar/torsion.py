@@ -29,10 +29,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import compress, product
-from math import gcd
+from itertools import product
+from math import gcd, prod
 from operator import mul, or_, xor
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import CapExceeded, InternalCheckError
 from .lattice import FiniteAbelianGroup, _ones, _pack, apply_mod, quotient
@@ -223,23 +223,22 @@ def _residue_reflections(
     ]
 
 
-def _regular_residues(
+def _regular_mask(
     factors: Sequence[int], forms: Sequence[tuple[int, ...]], n: int
-) -> Iterator[tuple[int, ...]]:
-    """Residue tuples, in product order, on which no form vanishes mod n.
+) -> bytearray:
+    """One byte per residue tuple, in product order (the last residue
+    varies fastest): 1 where no form vanishes mod n, else 0.
 
     For each prefix of all but the last residue, a form c with value v on
     the prefix forbids the last residues t with v + c_last * t = 0 mod n.
     With g = gcd(c_last, n) and m = n / g these are none when g does not
     divide v, and otherwise the progression of step m from the root t0,
     cleared from the row of last residues in one slice.  When m = 1 the
-    whole row goes, so those forms come first and end the prefix early.
+    whole row goes, so those forms come first and leave a zero row.
     The cost is linear in the number of classes.
     """
     if not factors:
-        if not forms:
-            yield ()
-        return
+        return bytearray(b"\0" if forms else b"\1")
     *head, last = factors
     steps = []
     for c in forms:
@@ -247,19 +246,20 @@ def _regular_residues(
         m = n // g
         steps.append((m, g, -pow(c[-1] // g, -1, m), c[:-1]))
     steps.sort()
-    row = range(last)
+    mask = bytearray()
     for prefix in product(*map(range, head)):
-        keep = bytearray(b"\1") * last
+        row = bytearray(b"\1") * last
         for m, g, u, cs in steps:
             v = sum(map(mul, cs, prefix))
             if v % g:
                 continue
             if m == 1:
+                row = bytes(last)
                 break
             t0 = v // g * u % m
-            keep[t0::m] = bytes(len(row[t0::m]))
-        else:
-            yield from (prefix + (t,) for t in compress(row, keep))
+            row[t0::m] = bytes(len(range(t0, last, m)))
+        mask += row
+    return mask
 
 
 def classify_regular_orbits(
@@ -273,8 +273,9 @@ def classify_regular_orbits(
     section of the a-th unit residue, the pairing of the class r with
     beta_vee is the linear form sum_a r_a <g_a, beta_vee> mod n.  The
     regular set is W-stable, so the orbit walk starts from regular classes
-    only, with each simple reflection acting as a residue matrix, and
-    holds no more than the regular classes.  A residue matrix that is not
+    only, with each simple reflection acting as a residue matrix.  Its
+    state is one byte per class of P/nQ, indexed by the residues in mixed
+    radix (``_regular_mask`` order).  A residue matrix that is not
     an involution, or that sends a regular class to a singular one, raises
     InternalCheckError.
 
@@ -307,39 +308,43 @@ def classify_regular_orbits(
                     f"does not square to the identity on the class {u}"
                 )
 
-    # walked[c] is False until the orbit of the regular class c is walked
-    walked = dict.fromkeys(_regular_residues(factors, forms, n), False)
-    rho_key = group.project(rd.rho)
+    # per class: 0 singular, 1 regular and not yet walked, 2 walked
+    state = _regular_mask(factors, forms, n)
+    regular_classes = state.count(1)
+    radix = [prod(factors[a + 1 :]) for a in range(len(factors))]
+    rho = sum(map(mul, group.project(rd.rho), radix))
     regular_orbits = 0
     distinguished = 0
     rho_in_distinguished = False
-    for start, done in walked.items():
-        if done:
-            continue
-        walked[start] = True
+    i = state.find(1)
+    while i >= 0:
+        start = tuple(i // w % d for w, d in zip(radix, factors))
+        rho_pending = state[rho] == 1
+        state[i] = 2
         orbit = [start]
         for x in orbit:
             for j, m in enumerate(mats):
                 y = apply_mod(m, factors, x)
-                seen = walked.get(y)
-                if seen is None:
+                k = sum(map(mul, y, radix))
+                if not state[k]:
                     raise InternalCheckError(
                         f"{rd.type_string} at n={n}: s_{j + 1} maps the regular "
                         f"class {x} to the singular class {y}"
                     )
-                if not seen:
-                    walked[y] = True
+                if state[k] == 1:
+                    state[k] = 2
                     orbit.append(y)
         regular_orbits += 1
         if gcd(n, *(sum(map(mul, c, start)) for c in gen_coords)) == 1:  # image order n
             distinguished += 1
-            rho_in_distinguished |= rho_key in orbit
+            rho_in_distinguished |= rho_pending and state[rho] == 2
+        i = state.find(1, i)
 
     return OrbitReport(
         type_string=rd.type_string,
         n=n,
         total_classes=group.order,
-        regular_classes=len(walked),
+        regular_classes=regular_classes,
         regular_orbits=regular_orbits,
         regular_orbits_with_image_order_n=distinguished,
         rho_in_distinguished_orbit=rho_in_distinguished and distinguished == 1,

@@ -308,6 +308,21 @@ class TestCheckAll:
         assert out == ""
         assert "--max-coord must be >= 0" in err
 
+    def test_duality_check_refused_at_the_default_cap(self, capsys):
+        # A16 at n = 2 has 2^16 * 17 = 1,114,112 classes
+        code, out, err = run(capsys, "check-all", "A16", "--max-coord", "0")
+        assert code == EXIT_CAP
+        assert out == ""
+        assert "1114112 classes exceed the cap 1000000" in err
+
+    def test_cap_reaches_the_duality_check(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "check-all", "A16", "--max-coord", "0", "--cap", "2000000"
+        )
+        assert code == EXIT_OK
+        assert doc["results"][0]["torsion_duality_ok"] is True
+        assert doc["all_passed"] is True
+
 
 # (schema branch, argv): every subcommand, with and without the oracle
 SCHEMA_CASES = [

@@ -1,7 +1,9 @@
+from math import factorial
+
 import pytest
 
 from coxchar.lattice import IntMatrix
-from coxchar.rootdata import build, pairing, parse_cartan_type
+from coxchar.rootdata import RootPair, build, pairing, parse_cartan_type
 
 ALL_SIMPLE = (
     [f"A{n}" for n in range(1, 9)]
@@ -173,6 +175,82 @@ class TestInvariants:
                     assert tuple(up) in roots
                 else:
                     assert tuple(up) not in roots
+
+
+def reference_lengths(family, rank):
+    """Half the squared length of each simple root: 1 short, ratio long."""
+    return {
+        "B": [2] * (rank - 1) + [1],
+        "C": [1] * (rank - 1) + [2],
+        "F": [2, 2, 1, 1],
+        "G": [1, 3],
+    }.get(family, [1] * rank)
+
+
+def reference_positive_roots(a, d):
+    """Positive roots by string closure in simple coordinates, with each
+    coroot from the squared lengths: beta_vee = sum_j b_j (d_j / d_beta)
+    alpha_j_vee, where (beta, beta) = 2 d_beta."""
+    rank = len(a)
+    simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    known = set(simple)
+    layer = list(simple)
+    while layer:
+        nxt = []
+        for b in layer:
+            for i in range(rank):
+                pairing_i = sum(a[i][j] * b[j] for j in range(rank))
+                p = 0
+                probe = list(b)
+                while True:
+                    probe[i] -= 1
+                    if probe[i] < 0 or tuple(probe) not in known:
+                        break
+                    p += 1
+                if p - pairing_i >= 1:
+                    up = list(b)
+                    up[i] += 1
+                    if tuple(up) not in known:
+                        known.add(tuple(up))
+                        nxt.append(tuple(up))
+        layer = nxt
+    gram = [[a[k][j] * d[k] for k in range(rank)] for j in range(rank)]  # (alpha_j, alpha_k)
+    pairs = []
+    for b in sorted(known, key=lambda t: (sum(t), t)):
+        len2 = sum(b[j] * b[k] * gram[j][k] for j in range(rank) for k in range(rank))
+        assert len2 % 2 == 0
+        coroot = []
+        for j in range(rank):
+            q, r = divmod(b[j] * d[j], len2 // 2)
+            assert r == 0
+            coroot.append(q)
+        fw = tuple(sum(a[i][j] * b[j] for j in range(rank)) for i in range(rank))
+        pairs.append(RootPair(root=fw, simple_coords=b, coroot=tuple(coroot)))
+    return pairs
+
+
+class TestRootTable:
+    @pytest.mark.parametrize("t", ALL_SIMPLE + ["A20", "B12", "C12", "D13"])
+    def test_matches_string_closure(self, t):
+        f = build(t).factors[0]
+        a = [list(f.cartan[i]) for i in range(f.rank)]
+        d = reference_lengths(f.family, f.rank)
+        assert f.positive == tuple(reference_positive_roots(a, d))
+
+    @pytest.mark.parametrize("t", ALL_SIMPLE)
+    def test_weyl_order_closed_form(self, t):
+        f = build(t).factors[0]
+        n = f.rank
+        expected = {
+            "A": factorial(n + 1),
+            "B": 2**n * factorial(n),
+            "C": 2**n * factorial(n),
+            "D": 2 ** (n - 1) * factorial(n),
+            "E": {6: 51840, 7: 2903040, 8: 696729600}.get(n),
+            "F": 1152,
+            "G": 12,
+        }[f.family]
+        assert f.weyl_order == expected
 
 
 class TestBourbakiMatrices:

@@ -229,6 +229,20 @@ class TestClassify:
         assert o.regular_orbits_with_image_order_n == o.regular_orbits
         assert not o.rho_in_distinguished_orbit
 
+    @pytest.mark.parametrize("t,n", [("A1", 10_007), ("A2", 83)])
+    def test_memory_is_a_few_bytes_per_class(self, t, n):
+        # nearly every class is regular here; the walk keeps one byte per
+        # class of P/nQ, not an object per regular class
+        rd = build(t)
+        tracemalloc.start()
+        try:
+            o = classify_regular_orbits(rd, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert o.regular_classes > o.total_classes // 2
+        assert peak <= 16 * o.total_classes
+
 
 @contextmanager
 def time_budget(seconds):
