@@ -356,13 +356,6 @@ class FiniteAbelianGroup:
             full[i] = r % d
         return self._u_inv.apply(full)
 
-    def element_order(self, residues: Sequence[int]) -> int:
-        from math import gcd, lcm
-
-        if len(residues) != len(self._kept):
-            raise ValueError("residue tuple length mismatch")
-        return lcm(1, *(d // gcd(d, r) for d, r in zip(self.invariant_factors, residues)))
-
 
 def quotient(ambient_rank: int, sublattice_basis: IntMatrix) -> FiniteAbelianGroup:
     """Present ZZ^ambient_rank modulo the column span of the basis.

@@ -8,11 +8,14 @@ abstractly isomorphic, Weyl-equivariantly; ``duality_report`` checks
 this executable content, and ``classify_regular_orbits`` counts the
 regular Weyl orbits on P / n Q to exhibit the distinguished one at n = h.
 
-A class is its residue tuple under the invariant-factor projection, so
-there is no coset-representative ambiguity anywhere.  The census stays
-in residue coordinates: regularity is a set of linear forms on residues,
-each simple reflection is a residue matrix, and only regular orbits are
-walked.
+The census enumerates nothing.  W acts freely on the regular classes
+of P / n Q (those on no wall <x, beta_vee> = kn of the affine Weyl group
+W x nQ), and its orbits are in bijection with the points of P in the
+open alcove: mu_i >= 1 and sum_i c_i mu_i <= n - 1, with c the highest
+coroot, factor by factor (Humphreys, Reflection Groups and Coxeter
+Groups, 4.3-4.9).  The orbits whose image in P / n P has order n are
+those with gcd(n, mu) = 1, counted by Moebius inversion over the
+squarefree divisors of n.
 
 The duality check draws its random trials in chunks and packs each
 chunk: coordinate k of every trial's weight vector is one big integer
@@ -29,13 +32,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import product
-from math import gcd, prod
+from math import gcd
 from operator import mul, or_, xor
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .errors import CapExceeded, InternalCheckError
-from .lattice import FiniteAbelianGroup, _ones, _pack, apply_mod, quotient
+from .errors import CapExceeded
+from .lattice import FiniteAbelianGroup, _ones, _pack, quotient
 from .rootdata import RootDatum, pairing
 from .weyl import _reflect
 
@@ -62,6 +64,16 @@ def char_group_of_torsion(rd: RootDatum, n: int) -> FiniteAbelianGroup:
     if n < 1:
         raise ValueError("n must be >= 1")
     return quotient(rd.rank, rd.cartan.scale(n))
+
+
+def _class_count(rd: RootDatum, n: int, cap: int) -> int:
+    """n^r * |P/Q|, the order of both presentations at n, refused over the cap."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    total = n**rd.rank * rd.center.order
+    if total > cap:
+        raise CapExceeded(f"{rd.type_string} at n={n}: {total} classes exceed the cap {cap}")
+    return total
 
 
 @dataclass(frozen=True)
@@ -111,16 +123,14 @@ def duality_report(
     so memory does not grow with ``trials``.  The witness is the earliest
     failing trial, with reflection None when x and x2 already differ and
     otherwise the first simple reflection (1-based) that separates them.
-    Raises ValueError for n < 1 or trials < 1.
+    Raises ValueError for n < 1 or trials < 1, and CapExceeded above
+    ``cap`` classes (n^r * |P/Q|) before either presentation is built.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _class_count(rd, n, cap)
     tp = torsion_points(rd, n)
     cg = char_group_of_torsion(rd, n)
-    if cg.order > cap:
-        raise CapExceeded(
-            f"{rd.type_string} at n={n}: {cg.order} classes exceed the cap {cap}"
-        )
     witness = _first_failure(rd, cg, n, trials, seed)
     return DualityReport(
         type_string=rd.type_string,
@@ -209,143 +219,91 @@ class OrbitReport:
         }
 
 
-def _residue_reflections(
-    rd: RootDatum, group: FiniteAbelianGroup, gens: Sequence[tuple[int, ...]]
-) -> list[tuple[tuple[int, ...], ...]]:
-    """The matrix of each simple reflection on residue tuples of ``group``.
+def _moebius_divisors(n: int) -> list[tuple[int, int]]:
+    """(d, moeb(d)) for every squarefree divisor d of n, by trial division."""
+    out = [(1, 1)]
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out += [(d * p, -sign) for d, sign in out]
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out += [(d * n, -sign) for d, sign in out]
+    return out
 
-    Column a of the j-th matrix is the class of s_j applied to gens[a],
-    the section of the a-th unit residue.
+
+def _alcove_points(c: Sequence[int], budgets: Iterable[int]) -> dict[int, int]:
+    """{b: #{mu in ZZ^r : all mu_i >= 1, sum_i c_i mu_i <= b}} per budget b.
+
+    With mu = 1 + nu these are the nu >= 0 with sum_i c_i nu_i <= b - sum(c).
+    One coin-change table over weights c holds in ways[s] the number of nu
+    with sum exactly s, up to the largest budget; a single running sum over
+    it reads every budget.  Cost O(r * max(budgets)).
     """
-    return [
-        tuple(zip(*(group.project(_reflect(rd.cartan, g, j)) for g in gens)))
-        for j in range(rd.rank)
-    ]
-
-
-def _regular_mask(
-    factors: Sequence[int], forms: Sequence[tuple[int, ...]], n: int
-) -> bytearray:
-    """One byte per residue tuple, in product order (the last residue
-    varies fastest): 1 where no form vanishes mod n, else 0.
-
-    For each prefix of all but the last residue, a form c with value v on
-    the prefix forbids the last residues t with v + c_last * t = 0 mod n.
-    With g = gcd(c_last, n) and m = n / g these are none when g does not
-    divide v, and otherwise the progression of step m from the root t0,
-    cleared from the row of last residues in one slice.  When m = 1 the
-    whole row goes, so those forms come first and leave a zero row.
-    The cost is linear in the number of classes.
-    """
-    if not factors:
-        return bytearray(b"\0" if forms else b"\1")
-    *head, last = factors
-    steps = []
-    for c in forms:
-        g = gcd(c[-1], n)
-        m = n // g
-        steps.append((m, g, -pow(c[-1] // g, -1, m), c[:-1]))
-    steps.sort()
-    mask = bytearray()
-    for prefix in product(*map(range, head)):
-        row = bytearray(b"\1") * last
-        for m, g, u, cs in steps:
-            v = sum(map(mul, cs, prefix))
-            if v % g:
-                continue
-            if m == 1:
-                row = bytes(last)
-                break
-            t0 = v // g * u % m
-            row[t0::m] = bytes(len(range(t0, last, m)))
-        mask += row
-    return mask
+    budgets = sorted(budgets)
+    shift = sum(c)
+    top = budgets[-1] - shift
+    ways = [1] + [0] * top
+    for w in c:
+        for s in range(w, top + 1):
+            ways[s] += ways[s - w]
+    counts = {}
+    acc = s = 0
+    for b in budgets:
+        while s <= b - shift:
+            acc += ways[s]
+            s += 1
+        counts[b] = acc
+    return counts
 
 
 def classify_regular_orbits(
     rd: RootDatum, n: int, cap: int = DEFAULT_CLASS_CAP
 ) -> OrbitReport:
-    """Count the regular Weyl orbits on P/nQ, flagging those whose image
-    in P/nP has order n.
+    """Count the regular Weyl orbits on P/nQ, and those whose image in
+    P/nP has order n, from the integral points of an alcove.
 
-    Linear forms on residues; only regular orbits are walked.  A class is
-    regular when no positive-coroot pairing vanishes mod n; with g_a the
-    section of the a-th unit residue, the pairing of the class r with
-    beta_vee is the linear form sum_a r_a <g_a, beta_vee> mod n.  The
-    regular set is W-stable, so the orbit walk starts from regular classes
-    only, with each simple reflection acting as a residue matrix.  Its
-    state is one byte per class of P/nQ, indexed by the residues in mixed
-    radix (``_regular_mask`` order).  A residue matrix that is not
-    an involution, or that sends a regular class to a singular one, raises
-    InternalCheckError.
+    A class is regular when no positive-coroot pairing vanishes mod n,
+    that is when it lies on no wall <x, beta_vee> = kn of the affine Weyl
+    group W x nQ.  W acts freely on the regular classes, and each regular
+    orbit meets the open alcove mu_i > 0, <mu, c> < n (c the highest
+    coroot) in exactly one point of P (Humphreys, Reflection Groups and
+    Coxeter Groups, 4.3-4.9).  Factor by factor the regular orbits are
+    the mu in ZZ^r with mu_i >= 1 and sum_i c_i mu_i <= n - 1, and the
+    regular classes are |W| times as many.
 
-    Image order of a class with representative x is n / gcd(n, coords of
-    x), the order of x in P/nP; it is constant on orbits.  The section of
-    the residues r is exactly sum_a r_a g_a, so x is that sum, with no
-    section call per orbit.  At n = h exactly one regular orbit has image
-    order h and it contains [rho].
+    The image of the class of x in P/nP has order n / gcd(n, coords of x),
+    constant on orbits, so the orbits of image order n are the alcove
+    points with gcd(n, mu) = 1.  Moebius inversion counts them:
+    sum over d | n of moeb(d) * prod_k #{mu >= 1 : <mu, c_k> <= (n - 1) // d}.
+    [rho] is in the distinguished orbit when it is regular, has image
+    order n and exactly one orbit has image order n.  At n = h the alcove
+    holds rho alone, so exactly one regular orbit has image order h and
+    it contains [rho].  Nothing is enumerated: one coin-change table per
+    factor (``_alcove_points``), O(r * n).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    group = char_group_of_torsion(rd, n)
-    if group.order > cap:
-        raise CapExceeded(
-            f"{rd.type_string} at n={n}: {group.order} classes exceed the cap {cap}"
-        )
-    factors = group.invariant_factors
-    units = [tuple(int(a == b) for b in range(len(factors))) for a in range(len(factors))]
-    gens = [group.section(u) for u in units]
-    gen_coords = list(zip(*gens))  # section(r)_k = sum_a r_a * gens[a][k]
-    forms = list(dict.fromkeys(
-        tuple(pairing(g, p.coroot) % n for g in gens) for p in rd.positive_roots()
-    ))
-    mats = _residue_reflections(rd, group, gens)
-    for j, m in enumerate(mats):
-        for u in units:
-            if apply_mod(m, factors, apply_mod(m, factors, u)) != u:
-                raise InternalCheckError(
-                    f"{rd.type_string} at n={n}: the residue matrix of s_{j + 1} "
-                    f"does not square to the identity on the class {u}"
-                )
-
-    # per class: 0 singular, 1 regular and not yet walked, 2 walked
-    state = _regular_mask(factors, forms, n)
-    regular_classes = state.count(1)
-    radix = [prod(factors[a + 1 :]) for a in range(len(factors))]
-    rho = sum(map(mul, group.project(rd.rho), radix))
-    regular_orbits = 0
-    distinguished = 0
-    rho_in_distinguished = False
-    i = state.find(1)
-    while i >= 0:
-        start = tuple(i // w % d for w, d in zip(radix, factors))
-        rho_pending = state[rho] == 1
-        state[i] = 2
-        orbit = [start]
-        for x in orbit:
-            for j, m in enumerate(mats):
-                y = apply_mod(m, factors, x)
-                k = sum(map(mul, y, radix))
-                if not state[k]:
-                    raise InternalCheckError(
-                        f"{rd.type_string} at n={n}: s_{j + 1} maps the regular "
-                        f"class {x} to the singular class {y}"
-                    )
-                if state[k] == 1:
-                    state[k] = 2
-                    orbit.append(y)
-        regular_orbits += 1
-        if gcd(n, *(sum(map(mul, c, start)) for c in gen_coords)) == 1:  # image order n
-            distinguished += 1
-            rho_in_distinguished |= rho_pending and state[rho] == 2
-        i = state.find(1, i)
-
+    total = _class_count(rd, n, cap)
+    divisors = _moebius_divisors(n)
+    points = dict.fromkeys(((n - 1) // d for d, _ in divisors), 1)
+    for f in rd.factors:
+        counts = _alcove_points(f.highest_coroot.coroot, points)
+        for b in points:
+            points[b] *= counts[b]
+    distinguished = sum(sign * points[(n - 1) // d] for d, sign in divisors)
+    rho = rd.rho
+    rho_regular = all(
+        pairing(rho[rd.factor_slice(k)], p.coroot) % n
+        for k, f in enumerate(rd.factors)
+        for p in f.positive
+    )
     return OrbitReport(
         type_string=rd.type_string,
         n=n,
-        total_classes=group.order,
-        regular_classes=regular_classes,
-        regular_orbits=regular_orbits,
+        total_classes=total,
+        regular_classes=rd.weyl_order * points[n - 1],
+        regular_orbits=points[n - 1],
         regular_orbits_with_image_order_n=distinguished,
-        rho_in_distinguished_orbit=rho_in_distinguished and distinguished == 1,
+        rho_in_distinguished_orbit=rho_regular and gcd(n, *rho) == 1 and distinguished == 1,
     )

@@ -189,13 +189,6 @@ class TestQuotient:
             count += 1
         assert count == g.order
 
-    def test_element_order(self):
-        g = quotient(2, IntMatrix.diagonal([2, 4]))
-        assert g.element_order((1, 0)) == 2
-        assert g.element_order((0, 1)) == 4
-        assert g.element_order((1, 2)) == 2
-        assert g.element_order((0, 0)) == 1
-
 
 class TestIntMatrix:
     def test_matmul_identity(self):

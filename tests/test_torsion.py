@@ -2,8 +2,9 @@ import random
 import signal
 import tracemalloc
 from contextlib import contextmanager
+from dataclasses import replace
 from itertools import product
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -150,6 +151,14 @@ class TestWellDefinedCanFail:
         assert rep.witness == {"x": x, "x2": x2, "reflection": j}
 
 
+SIMPLE_TYPES_TO_RANK_8 = (
+    [f"A{r}" for r in range(1, 9)]
+    + [f"{x}{r}" for x in "BC" for r in range(2, 9)]
+    + [f"D{r}" for r in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
 class TestClassify:
     def test_a1_n2(self):
         o = classify_regular_orbits(build("A1"), 2)
@@ -183,8 +192,8 @@ class TestClassify:
     @pytest.mark.parametrize("t", ["A2", "B3", "G2", "D4", "A1xA1"])
     def test_rho_moved_off_the_distinguished_orbit(self, monkeypatch, t):
         # at n = h every regular class lies in the orbit of [rho], so the
-        # classes off it are singular; a census that projects one of them
-        # in place of rho still finds one distinguished orbit, without rho
+        # classes off it are singular; a census that reads one of them in
+        # place of rho still finds one distinguished orbit, without rho
         rd = build(t)
         n = rd.factors[0].coxeter_number
         assert classify_regular_orbits(rd, n).rho_in_distinguished_orbit
@@ -209,7 +218,7 @@ class TestClassify:
         # Z/2n with n = 31 * 127^2: k is regular unless n | k, orbits {k, -k},
         # and the orbit has image order n when gcd(k, n) = 1
         n = 499_999
-        with time_budget(60):
+        with time_budget(5):
             o = classify_regular_orbits(build("A1"), n)
         assert o.total_classes == 2 * n
         assert o.regular_classes == 2 * n - 2
@@ -221,7 +230,7 @@ class TestClassify:
         # n = 577 is prime to 3, so P/nQ = P/nP x P/Q; in fundamental-weight
         # coordinates (a, b) mod n the coroots pair to a, b and a + b
         n = 577
-        with time_budget(60):
+        with time_budget(5):
             o = classify_regular_orbits(build("A2"), n)
         assert o.total_classes == 3 * n**2
         assert o.regular_classes == 3 * (n - 1) * (n - 2)
@@ -231,8 +240,8 @@ class TestClassify:
 
     @pytest.mark.parametrize("t,n", [("A1", 10_007), ("A2", 83)])
     def test_memory_is_a_few_bytes_per_class(self, t, n):
-        # nearly every class is regular here; the walk keeps one byte per
-        # class of P/nQ, not an object per regular class
+        # nearly every class is regular here; the count keeps one table of
+        # n - h + 1 entries per factor and nothing per class of P/nQ
         rd = build(t)
         tracemalloc.start()
         try:
@@ -242,6 +251,32 @@ class TestClassify:
             tracemalloc.stop()
         assert o.regular_classes > o.total_classes // 2
         assert peak <= 16 * o.total_classes
+
+    @pytest.mark.parametrize("t", SIMPLE_TYPES_TO_RANK_8)
+    def test_one_free_regular_orbit_at_the_coxeter_number(self, t):
+        # at n = h the open alcove holds rho alone; E8 has 30^8 classes,
+        # counted without enumerating any
+        rd = build(t)
+        h = rd.factors[0].coxeter_number
+        total = h**rd.rank * rd.center.order
+        with time_budget(1):
+            o = classify_regular_orbits(rd, h, cap=total)
+        assert o.total_classes == total
+        assert o.regular_classes == rd.weyl_order
+        assert o.regular_orbits == 1
+        assert o.regular_orbits_with_image_order_n == 1
+        assert o.rho_in_distinguished_orbit
+        with pytest.raises(CapExceeded, match=f"{total} classes exceed the cap {total - 1}"):
+            classify_regular_orbits(rd, h, cap=total - 1)
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_type_a_orbits_are_binomial(self, r):
+        # every c_i is 1: the mu >= 1 with sum mu_i <= n - 1 number C(n - 1, r)
+        rd = build(f"A{r}")
+        for n in range(1, 3 * (r + 1) + 10):
+            o = classify_regular_orbits(rd, n, cap=n**r * (r + 1))
+            assert o.regular_orbits == comb(n - 1, r), n
+            assert o.regular_classes == rd.weyl_order * comb(n - 1, r), n
 
 
 @contextmanager
@@ -330,33 +365,25 @@ def test_trivial_group_at_n1(t):
     assert (o.total_classes, o.regular_classes, o.regular_orbits) == (1, 0, 0)
 
 
-def corrupt_entry(monkeypatch, j, b, a, value):
-    """Make entry (b, a) of the j-th residue reflection matrix ``value``."""
-    original = torsion._residue_reflections
-
-    def patched(*args):
-        mats = original(*args)
-        rows = [list(row) for row in mats[j]]
-        rows[b][a] = value
-        mats[j] = tuple(map(tuple, rows))
-        return mats
-
-    monkeypatch.setattr(torsion, "_residue_reflections", patched)
+def bump_highest_coroot(rd, k, i):
+    """``rd`` with coefficient i of the highest coroot of factor k raised by 1."""
+    f = rd.factors[k]
+    c = list(f.highest_coroot.coroot)
+    c[i] += 1
+    bumped = replace(f, highest_coroot=f.highest_coroot._replace(coroot=tuple(c)))
+    return replace(rd, factors=rd.factors[:k] + (bumped,) + rd.factors[k + 1 :])
 
 
-class TestGuards:
-    def test_matrix_not_an_involution(self, monkeypatch):
-        # B2 at n=4: s_1 acts on (Z/4 x Z/8) as ((3, 0), (2, 1))
-        corrupt_entry(monkeypatch, 0, 0, 0, 1)
-        with pytest.raises(InternalCheckError, match=r"B2 at n=4: .* s_1 .*\(1, 0\)"):
-            classify_regular_orbits(build("B2"), 4)
-
-    def test_regular_class_sent_to_a_singular_one(self, monkeypatch):
-        # G2 at n=6: s_1 acts on (Z/6)^2 as ((5, 5), (0, 1)); with entry (0, 1)
-        # zeroed it is still an involution but no longer preserves regularity
-        corrupt_entry(monkeypatch, 0, 0, 1, 0)
-        with pytest.raises(InternalCheckError, match=r"G2 at n=6: s_1 maps the regular class"):
-            classify_regular_orbits(build("G2"), 6)
+@pytest.mark.parametrize("t,i", [("B3", 0), ("B3", 2), ("G2", 1), ("A1xA1", 0)])
+def test_a_bumped_highest_coroot_disagrees_with_the_reference(t, i):
+    # the count reads only the highest coroots, so the differential check
+    # above must catch one wrong coefficient: at n = h the alcove is empty
+    rd = build(t)
+    n = rd.factors[0].coxeter_number
+    assert classify_regular_orbits(rd, n) == reference_classify(rd, n)
+    o = classify_regular_orbits(bump_highest_coroot(rd, 0, i), n)
+    assert o != reference_classify(rd, n)
+    assert o.regular_orbits == 0
 
 
 class TestRegularityIsWeylInvariant:
