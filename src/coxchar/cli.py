@@ -29,7 +29,7 @@ from .character import (
 from .errors import CapExceeded, InternalCheckError, TheoremViolation
 from .oracle import DEFAULT_WEYL_CAP, char_at_coxeter_oracle
 from .rootdata import build
-from .torsion import DEFAULT_CLASS_CAP, classify_regular_orbits, duality_report
+from .torsion import classify_regular_orbits, duality_report
 from .weyl import duality_involution
 
 SCHEMA_VERSION = "1"
@@ -184,8 +184,8 @@ def cmd_verify(args) -> int:
 
 def cmd_torsion(args) -> int:
     rd = build(args.type)
-    rep = duality_report(rd, args.n, trials=args.trials, seed=args.seed, cap=args.cap)
-    orbits = classify_regular_orbits(rd, args.n, cap=args.cap)
+    rep = duality_report(rd, args.n, trials=args.trials, seed=args.seed)
+    orbits = classify_regular_orbits(rd, args.n)
     _emit({"duality": rep.as_dict(), "orbits": orbits.as_dict()})
     return EXIT_OK if rep.passed else EXIT_DIAGNOSTIC
 
@@ -210,14 +210,12 @@ def cmd_check_all(args) -> int:
             coxeter_lift_order(rd)  # raises if the equivalence fails
             entry["lift_order_biconditional_ok"] = True
             if rd.is_simple:
-                h = rd.factors[0].coxeter_number
-                if h**rd.rank * rd.center.order <= args.cap:
-                    orbits = classify_regular_orbits(rd, h, cap=args.cap)
-                    entry["unique_regular_orbit_ok"] = (
-                        orbits.regular_orbits_with_image_order_n == 1
-                        and orbits.rho_in_distinguished_orbit
-                    )
-            dual = duality_report(rd, 2, trials=100, seed=args.seed, cap=args.cap)
+                orbits = classify_regular_orbits(rd, rd.factors[0].coxeter_number)
+                entry["unique_regular_orbit_ok"] = (
+                    orbits.regular_orbits_with_image_order_n == 1
+                    and orbits.rho_in_distinguished_orbit
+                )
+            dual = duality_report(rd, 2, trials=100, seed=args.seed)
             entry["torsion_duality_ok"] = dual.passed
             if rd.weyl_order <= args.weyl_cap:
                 bad = 0
@@ -292,14 +290,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=DEFAULT_CLASS_CAP)
     p.set_defaults(func=cmd_torsion)
 
     p = sub.add_parser("check-all", help="verification battery over a list of types")
     p.add_argument("types", nargs="*", help=f"default: {' '.join(DEFAULT_BATTERY)}")
     p.add_argument("--max-coord", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=DEFAULT_CLASS_CAP)
     p.add_argument("--weyl-cap", type=int, default=DEFAULT_WEYL_CAP)
     p.set_defaults(func=cmd_check_all)
 

@@ -135,22 +135,15 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     always the nonzero entry of minimal absolute value (ties broken by
     position), so repeated runs give identical transforms.
     """
-    u, d, v, _ = _smith(m)
+    u, d, v = _smith(m)
     return IntMatrix.from_rows(u), IntMatrix.from_rows(d), IntMatrix.from_rows(v)
 
 
 def _smith(m: IntMatrix) -> tuple[list[list[int]], ...]:
-    """(U, D, V, U^-1) of ``smith_normal_form`` as lists of rows.
-
-    U^-1 is kept in step with U: each row operation on U is undone on the
-    right of U^-1 by the inverse column operation (a swap by the same
-    swap, row_i -= q row_t by col_t += q col_i, a negated row by the
-    same column negated), so no inverse is ever solved for.
-    """
+    """(U, D, V) of ``smith_normal_form`` as lists of rows."""
     nrows, ncols = m.rows, m.cols
     a = [list(row) for row in m.data]
     u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    u_inv = [list(row) for row in u]
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     for t in range(min(nrows, ncols)):
@@ -168,7 +161,6 @@ def _smith(m: IntMatrix) -> tuple[list[list[int]], ...]:
             if bi != t:
                 _swap_rows(a, t, bi)
                 _swap_rows(u, t, bi)
-                _swap_cols(u_inv, t, bi)
             if bj != t:
                 _swap_cols(a, t, bj)
                 _swap_cols(v, t, bj)
@@ -180,7 +172,6 @@ def _smith(m: IntMatrix) -> tuple[list[list[int]], ...]:
                     if q:
                         _row_sub(a, i, t, q)
                         _row_sub(u, i, t, q)
-                        _col_sub(u_inv, t, i, -q)
                     if a[i][t] != 0:
                         clean = False
             for j in range(t + 1, ncols):
@@ -205,7 +196,6 @@ def _smith(m: IntMatrix) -> tuple[list[list[int]], ...]:
             if offender is not None:
                 _row_sub(a, t, offender, -1)  # add offending row, re-reduce
                 _row_sub(u, t, offender, -1)
-                _col_sub(u_inv, offender, t, 1)
                 continue
             break
         if all(a[i][j] == 0 for i in range(t, nrows) for j in range(t, ncols)):
@@ -215,8 +205,6 @@ def _smith(m: IntMatrix) -> tuple[list[list[int]], ...]:
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
-            for row in u_inv:
-                row[t] = -row[t]
 
     diag = [a[t][t] for t in range(min(nrows, ncols))]
     for x, y in zip(diag, diag[1:]):
@@ -225,7 +213,7 @@ def _smith(m: IntMatrix) -> tuple[list[list[int]], ...]:
         if x != 0 and y % x != 0:
             raise AssertionError("SNF: divisibility chain broken")
 
-    return u, a, v, u_inv
+    return u, a, v
 
 
 def apply_mod(
@@ -288,9 +276,9 @@ class FiniteAbelianGroup:
 
     ambient_rank: int
     invariant_factors: tuple[int, ...]
-    _kept: tuple[int, ...]  # index in U of the row for each invariant factor
-    _rows: tuple[tuple[int, ...], ...]  # those rows of U
-    _u_inv: IntMatrix
+    _rows: tuple[tuple[int, ...], ...]  # the row of U for each invariant factor
+    _basis: IntMatrix  # B, whose column span is L
+    _columns: tuple[tuple[int, ...], ...]  # the column of V for each invariant factor
 
     @property
     def order(self) -> int:
@@ -348,13 +336,21 @@ class FiniteAbelianGroup:
         return out
 
     def section(self, residues: Sequence[int]) -> tuple[int, ...]:
-        """An ambient vector mapping onto the given residue tuple."""
-        if len(residues) != len(self._kept):
+        """An ambient vector mapping onto the given residue tuple.
+
+        The vector is U^-1 applied to the residues (0 at the trivial
+        factors).  U B V = D makes column i of U^-1 equal to B V[:, i] / d_i,
+        so it is sum_i r_i * B V[:, i] / d_i: B applied to
+        sum_i r_i (e / d_i) V[:, i], with e the exponent, divided exactly by e.
+        """
+        if len(residues) != len(self._columns):
             raise ValueError("residue tuple length mismatch")
-        full = [0] * self.ambient_rank
-        for i, d, r in zip(self._kept, self.invariant_factors, residues):
-            full[i] = r % d
-        return self._u_inv.apply(full)
+        e = self.exponent
+        w = [0] * self._basis.cols
+        for col, d, r in zip(self._columns, self.invariant_factors, residues):
+            k = r % d * (e // d)
+            w = [a + k * b for a, b in zip(w, col)]
+        return tuple(x // e for x in self._basis.apply(w))
 
 
 def quotient(ambient_rank: int, sublattice_basis: IntMatrix) -> FiniteAbelianGroup:
@@ -367,7 +363,7 @@ def quotient(ambient_rank: int, sublattice_basis: IntMatrix) -> FiniteAbelianGro
         raise ValueError(
             f"basis has {sublattice_basis.rows} rows, ambient rank is {ambient_rank}"
         )
-    u, d, _, u_inv = _smith(sublattice_basis)
+    u, d, v = _smith(sublattice_basis)
     diag = [d[i][i] for i in range(min(sublattice_basis.rows, sublattice_basis.cols))]
     diag += [0] * (ambient_rank - len(diag))
     if any(x == 0 for x in diag):
@@ -376,7 +372,7 @@ def quotient(ambient_rank: int, sublattice_basis: IntMatrix) -> FiniteAbelianGro
     return FiniteAbelianGroup(
         ambient_rank=ambient_rank,
         invariant_factors=tuple(di for _, di in kept),
-        _kept=tuple(i for i, _ in kept),
         _rows=tuple(tuple(u[i]) for i, _ in kept),
-        _u_inv=IntMatrix.from_rows(u_inv),
+        _basis=sublattice_basis,
+        _columns=tuple(tuple(row[i] for row in v) for i, _ in kept),
     )

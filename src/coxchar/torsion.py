@@ -15,7 +15,9 @@ open alcove: mu_i >= 1 and sum_i c_i mu_i <= n - 1, with c the highest
 coroot, factor by factor (Humphreys, Reflection Groups and Coxeter
 Groups, 4.3-4.9).  The orbits whose image in P / n P has order n are
 those with gcd(n, mu) = 1, counted by Moebius inversion over the
-squarefree divisors of n.
+squarefree divisors of n.  There is no bound on the number of classes;
+the census refuses only when its own table would be large (rank * n
+above _TABLE_LIMIT), and the duality check has no bound at all.
 
 The duality check draws its random trials in chunks and packs each
 chunk: coordinate k of every trial's weight vector is one big integer
@@ -41,7 +43,9 @@ from .lattice import FiniteAbelianGroup, _ones, _pack, quotient
 from .rootdata import RootDatum, pairing
 from .weyl import _reflect
 
-DEFAULT_CLASS_CAP = 10**6
+# classify_regular_orbits keeps n table entries per factor and makes
+# rank * n additions; it refuses above this
+_TABLE_LIMIT = 10**6
 
 # trials that duality_report draws and checks together
 _CHUNK_TRIALS = 256
@@ -64,16 +68,6 @@ def char_group_of_torsion(rd: RootDatum, n: int) -> FiniteAbelianGroup:
     if n < 1:
         raise ValueError("n must be >= 1")
     return quotient(rd.rank, rd.cartan.scale(n))
-
-
-def _class_count(rd: RootDatum, n: int, cap: int) -> int:
-    """n^r * |P/Q|, the order of both presentations at n, refused over the cap."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = n**rd.rank * rd.center.order
-    if total > cap:
-        raise CapExceeded(f"{rd.type_string} at n={n}: {total} classes exceed the cap {cap}")
-    return total
 
 
 @dataclass(frozen=True)
@@ -106,11 +100,7 @@ class DualityReport:
 
 
 def duality_report(
-    rd: RootDatum,
-    n: int,
-    trials: int = 1000,
-    seed: int = 0,
-    cap: int = DEFAULT_CLASS_CAP,
+    rd: RootDatum, n: int, trials: int = 1000, seed: int = 0
 ) -> DualityReport:
     """Check the two torsion presentations agree and the Weyl action on
     weight-side classes is independent of the representative.
@@ -123,12 +113,12 @@ def duality_report(
     so memory does not grow with ``trials``.  The witness is the earliest
     failing trial, with reflection None when x and x2 already differ and
     otherwise the first simple reflection (1-based) that separates them.
-    Raises ValueError for n < 1 or trials < 1, and CapExceeded above
-    ``cap`` classes (n^r * |P/Q|) before either presentation is built.
+    Raises ValueError for n < 1 or trials < 1.  There is no bound on n:
+    the cost is trials * r^2 big-integer operations on fields that widen
+    only as log n.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _class_count(rd, n, cap)
     tp = torsion_points(rd, n)
     cg = char_group_of_torsion(rd, n)
     witness = _first_failure(rd, cg, n, trials, seed)
@@ -259,9 +249,7 @@ def _alcove_points(c: Sequence[int], budgets: Iterable[int]) -> dict[int, int]:
     return counts
 
 
-def classify_regular_orbits(
-    rd: RootDatum, n: int, cap: int = DEFAULT_CLASS_CAP
-) -> OrbitReport:
+def classify_regular_orbits(rd: RootDatum, n: int) -> OrbitReport:
     """Count the regular Weyl orbits on P/nQ, and those whose image in
     P/nP has order n, from the integral points of an alcove.
 
@@ -282,9 +270,16 @@ def classify_regular_orbits(
     order n and exactly one orbit has image order n.  At n = h the alcove
     holds rho alone, so exactly one regular orbit has image order h and
     it contains [rho].  Nothing is enumerated: one coin-change table per
-    factor (``_alcove_points``), O(r * n).
+    factor (``_alcove_points``), O(r * n).  Raises ValueError for n < 1
+    and CapExceeded when r * n exceeds _TABLE_LIMIT.
     """
-    total = _class_count(rd, n, cap)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if rd.rank * n > _TABLE_LIMIT:
+        raise CapExceeded(
+            f"{rd.type_string} at n={n}: rank * n = {rd.rank * n} exceeds the census"
+            f" table limit {_TABLE_LIMIT}"
+        )
     divisors = _moebius_divisors(n)
     points = dict.fromkeys(((n - 1) // d for d, _ in divisors), 1)
     for f in rd.factors:
@@ -301,7 +296,7 @@ def classify_regular_orbits(
     return OrbitReport(
         type_string=rd.type_string,
         n=n,
-        total_classes=total,
+        total_classes=n**rd.rank * rd.center.order,
         regular_classes=rd.weyl_order * points[n - 1],
         regular_orbits=points[n - 1],
         regular_orbits_with_image_order_n=distinguished,

@@ -283,6 +283,12 @@ class TestTorsion:
         assert out == ""
         assert "trials must be >= 1" in err
 
+    def test_census_refused_past_the_table_limit(self, capsys):
+        code, out, err = run(capsys, "torsion", "A1", "1000001")
+        assert code == EXIT_CAP
+        assert out == ""
+        assert "exceeds the census table limit 1000000" in err
+
     @pytest.mark.parametrize("t, n, expected", [
         ("A5", "6", TORSION_A5_6), ("F4", "12", TORSION_F4_12)
     ])
@@ -308,20 +314,23 @@ class TestCheckAll:
         assert out == ""
         assert "--max-coord must be >= 0" in err
 
-    def test_duality_check_refused_at_the_default_cap(self, capsys):
-        # A16 at n = 2 has 2^16 * 17 = 1,114,112 classes
-        code, out, err = run(capsys, "check-all", "A16", "--max-coord", "0")
-        assert code == EXIT_CAP
-        assert out == ""
-        assert "1114112 classes exceed the cap 1000000" in err
-
-    def test_cap_reaches_the_duality_check(self, capsys):
-        code, doc, _ = run_json(
-            capsys, "check-all", "A16", "--max-coord", "0", "--cap", "2000000"
-        )
+    def test_duality_check_runs_on_a16(self, capsys):
+        # A16 at n = 2 has 2^16 * 17 = 1,114,112 classes; none is built
+        code, doc, _ = run_json(capsys, "check-all", "A16", "--max-coord", "0")
         assert code == EXIT_OK
         assert doc["results"][0]["torsion_duality_ok"] is True
         assert doc["all_passed"] is True
+
+    def test_cap_is_a_usage_error(self):
+        for argv in (["check-all", "A16", "--max-coord", "0"], ["torsion", "A16", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--cap", "2000000"])
+            assert exc.value.code == EXIT_USAGE
+
+    def test_large_simple_types_get_the_census(self, capsys):
+        code, doc, _ = run_json(capsys, "check-all", "E6", "E7", "E8", "A16", "--max-coord", "0")
+        assert code == EXIT_OK
+        assert [r["unique_regular_orbit_ok"] for r in doc["results"]] == [True] * 4
 
 
 # (schema branch, argv): every subcommand, with and without the oracle
@@ -338,6 +347,7 @@ SCHEMA_CASES = [
     ("torsion", ["torsion", "A5", "6"]),
     ("torsion", ["torsion", "F4", "12"]),
     ("check_all", ["check-all"]),
+    ("check_all", ["check-all", "E8", "--max-coord", "0"]),
 ]
 
 

@@ -224,13 +224,18 @@ RANK_LE_8_AND_PRODUCTS = (
 
 @pytest.mark.parametrize("t", RANK_LE_8_AND_PRODUCTS)
 def test_section_map_is_the_exact_inverse(t):
-    # U^-1 kept by column operations during the Smith reduction equals
-    # U^-1 solved for over the rationals, on both torsion presentations
+    # the section of each unit residue vector, read off B V D^-1, is the
+    # column of U^-1 (solved for over the rationals) at that invariant
+    # factor, on both torsion presentations
     rd = build(t)
     for n in range(1, 13):
         for basis in (rd.cartan.scale(n), rd.cartan.transpose().scale(n)):
-            u, _, _ = smith_normal_form(basis)
-            assert quotient(rd.rank, basis)._u_inv == inverse_unimodular(u), n
+            u, d, _ = smith_normal_form(basis)
+            u_inv = inverse_unimodular(u).transpose()
+            kept = [u_inv[i] for i in range(rd.rank) if d[i][i] >= 2]
+            g = quotient(rd.rank, basis)
+            units = [[int(i == j) for j in range(len(kept))] for i in range(len(kept))]
+            assert [g.section(e) for e in units] == kept, n
 
 
 def pack(values, bits):

@@ -84,9 +84,11 @@ class TestDualityReport:
             total *= d
         assert total == 12
 
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            duality_report(build("E8"), 30, trials=10)
+    def test_e8_at_the_coxeter_number(self):
+        # 30^8 classes: the packed check builds no class, so it has no bound
+        rep = duality_report(build("E8"), 30, trials=10)
+        assert rep.passed
+        assert rep.invariant_factors_weight_side == (30,) * 8
 
 
 # (type, n) -> (x, x2, reflection) of the first failing trial at seed 5,
@@ -185,9 +187,26 @@ class TestClassify:
         o = classify_regular_orbits(build("A2"), 2)
         assert o.regular_orbits == 0
 
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            classify_regular_orbits(build("E8"), 30)
+    def test_e8_at_the_coxeter_number(self):
+        # 30^8 classes, counted from the alcove alone
+        o = classify_regular_orbits(build("E8"), 30)
+        assert o.total_classes == 30**8
+        assert o.regular_orbits_with_image_order_n == 1
+        assert o.rho_in_distinguished_orbit
+
+    @pytest.mark.parametrize("t,n", [("A1", 10**6), ("A2", 5 * 10**5), ("E8", 125_000)])
+    def test_census_at_the_table_limit(self, t, n):
+        # rank * n = 10^6: one table of n entries per factor
+        rd = build(t)
+        with time_budget(5):
+            o = classify_regular_orbits(rd, n)
+        assert o.total_classes == n**rd.rank * rd.center.order
+        assert o.regular_orbits > 0
+
+    @pytest.mark.parametrize("t,n", [("A1", 10**6 + 1), ("E8", 125_001)])
+    def test_census_refused_past_the_table_limit(self, t, n):
+        with pytest.raises(CapExceeded, match=f"rank \\* n = {build(t).rank * n} exceeds"):
+            classify_regular_orbits(build(t), n)
 
     @pytest.mark.parametrize("t", ["A2", "B3", "G2", "D4", "A1xA1"])
     def test_rho_moved_off_the_distinguished_orbit(self, monkeypatch, t):
@@ -258,23 +277,20 @@ class TestClassify:
         # counted without enumerating any
         rd = build(t)
         h = rd.factors[0].coxeter_number
-        total = h**rd.rank * rd.center.order
         with time_budget(1):
-            o = classify_regular_orbits(rd, h, cap=total)
-        assert o.total_classes == total
+            o = classify_regular_orbits(rd, h)
+        assert o.total_classes == h**rd.rank * rd.center.order
         assert o.regular_classes == rd.weyl_order
         assert o.regular_orbits == 1
         assert o.regular_orbits_with_image_order_n == 1
         assert o.rho_in_distinguished_orbit
-        with pytest.raises(CapExceeded, match=f"{total} classes exceed the cap {total - 1}"):
-            classify_regular_orbits(rd, h, cap=total - 1)
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_type_a_orbits_are_binomial(self, r):
         # every c_i is 1: the mu >= 1 with sum mu_i <= n - 1 number C(n - 1, r)
         rd = build(f"A{r}")
         for n in range(1, 3 * (r + 1) + 10):
-            o = classify_regular_orbits(rd, n, cap=n**r * (r + 1))
+            o = classify_regular_orbits(rd, n)
             assert o.regular_orbits == comb(n - 1, r), n
             assert o.regular_classes == rd.weyl_order * comb(n - 1, r), n
 
@@ -447,7 +463,7 @@ DUALITY_TYPES = [
 
 
 def ns_under_the_cap(rd):
-    return [n for n in range(1, 13) if n**rd.rank * rd.center.order <= torsion.DEFAULT_CLASS_CAP]
+    return [n for n in range(1, 13) if n**rd.rank * rd.center.order <= 10**6]
 
 
 @pytest.mark.parametrize("t", DUALITY_TYPES)
