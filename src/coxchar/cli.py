@@ -288,7 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("torsion", help="torsion duality and regular-orbit census at level n")
     p.add_argument("type")
     p.add_argument("n", type=int)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=int, default=1000,
+                   help="random trials that name a witness when the exact certificate fails")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_torsion)
 

@@ -19,14 +19,17 @@ squarefree divisors of n.  There is no bound on the number of classes;
 the census refuses only when its own table would be large (rank * n
 above _TABLE_LIMIT), and the duality check has no bound at all.
 
-The duality check draws its random trials in chunks and packs each
-chunk: coordinate k of every trial's weight vector is one big integer
-with a field per trial, so translating, reflecting and projecting a
-whole chunk are a few big-integer multiply-adds, and the residues are
-reduced in place and compared as integers (the packed-residue kernel of
-``lattice``, shared with the oracle).  Fields are as wide as an exact
-bound on the coordinates needs, so any n gets a value.  The witness is
-the earliest failing trial, rebuilt from its draws.
+The duality check is an exact certificate.  ``project`` is linear with
+kernel nQ and a simple reflection is linear, so for x2 = x + n*A*m the
+differences of the classes of x and x2, and of s_j(x) and s_j(x2), are
+sum_i m_i times the classes of n*alpha_i and s_j(n*alpha_i).  The action
+is well defined for every x and m exactly when those r(r + 1) vectors
+project to zero; with one Smith form (of n*A) that is the whole cost.
+The coweight side needs no second Smith form: the invariant factors of
+n*A^T are n times those of A, read off the center P/Q.  Only a failed
+certificate draws random trials, in chunks packed as big-integer
+fields (the packed-residue kernel of ``lattice``, shared with the
+oracle), to name the earliest failing trial as the witness.
 """
 
 from __future__ import annotations
@@ -105,32 +108,44 @@ def duality_report(
     """Check the two torsion presentations agree and the Weyl action on
     weight-side classes is independent of the representative.
 
-    The representative check is randomized: each trial draws x and then
-    m from ``random.Random(seed)``, and for x2 = x + n*A*m (a translate
-    by n times a root-lattice vector) the classes of x and x2 and, for
-    every simple reflection s, those of s(x) and s(x2) must coincide.
-    Trials run in chunks of _CHUNK_TRIALS, packed (``_first_failure``),
-    so memory does not grow with ``trials``.  The witness is the earliest
-    failing trial, with reflection None when x and x2 already differ and
-    otherwise the first simple reflection (1-based) that separates them.
-    Raises ValueError for n < 1 or trials < 1.  There is no bound on n:
-    the cost is trials * r^2 big-integer operations on fields that widen
-    only as log n.
+    One Smith form (of n*A) presents P / n Q.  The coweight side
+    P_vee / n Q_vee has n times the Smith diagonal of A, read off the
+    center (padded with 1s to rank r, keeping factors >= 2), so
+    ``isomorphic`` compares two independent computations.  The action is
+    decided exactly by r(r + 1) projections: ``project`` and ``_reflect``
+    are linear, so for x2 = x + n*A*m the classes of x and x2 (of s_j(x)
+    and s_j(x2)) differ by sum_i m_i times the class of n*alpha_i (of
+    s_j(n*alpha_i)), and every trial passes exactly when all are zero.
+
+    ``trials`` and ``seed`` only name the witness after a failed
+    certificate (``_first_failure``): the earliest failing trial drawn
+    from ``random.Random(seed)`` as x and then m, with reflection None
+    when x and x2 already differ and otherwise the first simple
+    reflection (1-based) that separates them.  It is None when the trials
+    miss, and ``action_well_defined`` stays False.  Raises ValueError for
+    n < 1 or trials < 1; there is no bound on n.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    tp = torsion_points(rd, n)
     cg = char_group_of_torsion(rd, n)
-    witness = _first_failure(rd, cg, n, trials, seed)
+    r = rd.rank
+    center = rd.center.invariant_factors
+    coweight_side = tuple(n * d for d in (1,) * (r - len(center)) + center if n * d >= 2)
+    cartan = rd.cartan
+    certified = not any(
+        any(cg.project(v))
+        for a in zip(*cartan.scale(n).data)  # the columns n * alpha_i of n * A
+        for v in [a] + [_reflect(cartan, a, j) for j in range(r)]
+    )
     return DualityReport(
         type_string=rd.type_string,
         n=n,
-        invariant_factors_coweight_side=tp.invariant_factors,
+        invariant_factors_coweight_side=coweight_side,
         invariant_factors_weight_side=cg.invariant_factors,
-        isomorphic=tp.invariant_factors == cg.invariant_factors,
-        action_well_defined=witness is None,
+        isomorphic=coweight_side == cg.invariant_factors,
+        action_well_defined=certified,
         trials=trials,
-        witness=witness,
+        witness=None if certified else _first_failure(rd, cg, n, trials, seed),
     )
 
 
@@ -138,7 +153,7 @@ def _first_failure(
     rd: RootDatum, group: FiniteAbelianGroup, n: int, trials: int, seed: int
 ) -> Optional[dict]:
     """The witness of the first trial of ``duality_report`` whose classes
-    differ, or None.
+    differ, or None; run only after a failed certificate.
 
     A chunk of trials is drawn in trial order, and coordinate k of x (of
     m) over the chunk becomes one integer with a field per trial, so x2

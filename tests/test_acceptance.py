@@ -197,8 +197,12 @@ def test_criterion_7_torsion_duality_suite():
             assert rep.action_well_defined, (t, n, rep.witness)
             cases += 1
     elapsed = time.monotonic() - started
-    assert elapsed < 15, f"torsion duality suite took {elapsed:.1f}s, budget is 15 s"
-    report(7, f"{cases} (type, n) cases, 1000 trials each, {elapsed:.1f}s")
+    assert elapsed < 2, f"torsion duality suite took {elapsed:.2f}s, budget is 2 s"
+    report(
+        7,
+        f"{cases} (type, n) cases, each an exact certificate of r(r+1) projections"
+        f" (1000 trials drawn only on failure), {elapsed:.2f}s",
+    )
 
 
 def test_criterion_8_unique_regular_orbit_at_coxeter_number():

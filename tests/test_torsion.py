@@ -10,6 +10,7 @@ import pytest
 
 from coxchar import torsion
 from coxchar.errors import CapExceeded, InternalCheckError
+from coxchar.lattice import IntMatrix, quotient
 from coxchar.rootdata import RootDatum, build, pairing
 from coxchar.torsion import (
     DualityReport,
@@ -517,19 +518,29 @@ def test_failing_reports_match_reference(monkeypatch, patch, t):
 
 
 def test_reflection_outside_the_bound_raises(monkeypatch):
-    # coordinates past the exact bound leave their packed fields
-    monkeypatch.setattr(torsion, "_reflect", lambda cartan, cols, j: [1000 * c for c in cols])
+    # coordinates past the exact bound leave their packed fields; the
+    # transposed reflection fails the certificate, so the trials run
+    def far_reflect(cartan, cols, j):
+        return [1001 * c for c in transposed_reflect(cartan, cols, j)]
+
+    monkeypatch.setattr(torsion, "_reflect", far_reflect)
     with pytest.raises(InternalCheckError, match="left its fields"):
         duality_report(build("B3"), 4, trials=10)
 
 
-def test_memory_does_not_grow_with_trials():
+def test_memory_does_not_grow_with_trials(monkeypatch):
+    # the coweight side fails the certificate and every m draw is 0, so
+    # every trial is drawn and passes
     rd = build("B3")
+    check_on_the_coweight_side(monkeypatch)
+    monkeypatch.setattr(random, "Random", QuietRandom)
+    monkeypatch.setattr(QuietRandom, "quiet", 20_000 * rd.rank)
 
     def peak(trials):
         tracemalloc.start()
         try:
-            duality_report(rd, 5, trials=trials, seed=1)
+            rep = duality_report(rd, 5, trials=trials, seed=1)
+            assert not rep.action_well_defined and rep.witness is None
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -537,3 +548,51 @@ def test_memory_does_not_grow_with_trials():
     peak(10)  # warm the caches the report fills once
     assert peak(20_000) <= 2 * peak(2_000)
 
+
+@pytest.mark.parametrize("patch", [check_on_the_coweight_side, reflect_with_the_transpose])
+@pytest.mark.parametrize("t", ["B2", "B3", "C3"])
+def test_certificate_catches_what_the_trials_miss(monkeypatch, patch, t):
+    # every m draw is 0, so x2 = x and no trial can fail
+    rd = build(t)
+    patch(monkeypatch)
+    monkeypatch.setattr(random, "Random", QuietRandom)
+    monkeypatch.setattr(QuietRandom, "quiet", 300 * rd.rank)
+    for n in (2, 3, 4):
+        rep = duality_report(rd, n, trials=300, seed=5)
+        assert rep.isomorphic
+        assert not rep.action_well_defined and not rep.passed
+        assert rep.witness is None
+
+
+class NoDraws(random.Random):
+    def randrange(self, *args, **kwargs):
+        raise AssertionError("a passing duality report drew a trial")
+
+
+@pytest.mark.parametrize(
+    "t,ns", [(t, range(1, 13)) for t in DUALITY_TYPES] + [("E8", [30]), ("A16", [2])]
+)
+def test_passing_reports_draw_nothing(monkeypatch, t, ns):
+    monkeypatch.setattr(random, "Random", NoDraws)
+    rd = build(t)
+    for n in ns:
+        assert duality_report(rd, n, trials=1000, seed=n).passed, n
+
+
+def bumped_char_group(rd, n):
+    """The quotient by n * A with entry (0, 0) raised by 1."""
+    rows = [list(row) for row in rd.cartan.scale(n).data]
+    rows[0][0] += 1
+    return quotient(rd.rank, IntMatrix.from_rows(rows))
+
+
+@pytest.mark.parametrize("t", ["A1", "A2", "B3", "G2", "A1xA2"])
+def test_a_bumped_weight_side_is_not_isomorphic(monkeypatch, t):
+    # the coweight side is read from the center, so a wrong weight-side
+    # Smith form shows against it
+    rd = build(t)
+    monkeypatch.setattr(torsion, "char_group_of_torsion", bumped_char_group)
+    for n in (1, 2, 3):
+        rep = duality_report(rd, n, trials=50)
+        assert rep.invariant_factors_coweight_side == torsion_points(rd, n).invariant_factors
+        assert not rep.isomorphic, n
