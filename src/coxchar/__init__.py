@@ -26,13 +26,7 @@ from .lattice import FiniteAbelianGroup, IntMatrix, quotient, smith_normal_form
 from .oracle import char_at_coxeter_oracle, float_shadow, weyl_numerator
 from .rootdata import RootDatum, RootPair, build, pairing
 from .torsion import char_group_of_torsion, classify_regular_orbits, duality_report, torsion_points
-from .weyl import (
-    WeylElement,
-    coxeter_element,
-    duality_involution,
-    make_dominant,
-    simple_reflection,
-)
+from .weyl import WeylElement, coxeter_element, duality_involution, make_dominant
 
 __version__ = "0.1.0"
 
@@ -66,7 +60,6 @@ __all__ = [
     "quotient",
     "regularity_test",
     "rho_central_character",
-    "simple_reflection",
     "smith_normal_form",
     "torsion_points",
     "verify_principal_cocharacter",

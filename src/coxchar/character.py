@@ -32,10 +32,9 @@ the Frobenius-Schur indicator, and the principal-cocharacter checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalCheckError, TheoremViolation
 from .lattice import FiniteAbelianGroup, _reduce_fields
@@ -43,8 +42,7 @@ from .rootdata import RootDatum, RootPair, SimpleFactor, Weight
 from .weyl import duality_involution
 
 
-@dataclass(frozen=True)
-class BlockingCoroot:
+class BlockingCoroot(NamedTuple):
     """Witness that mu = lambda + rho is singular mod h."""
 
     factor: int
@@ -61,8 +59,7 @@ class BlockingCoroot:
         }
 
 
-@dataclass(frozen=True)
-class FactorCharValue:
+class FactorCharValue(NamedTuple):
     value: int
     regular: bool
     sign_parity: Optional[int]
@@ -71,8 +68,7 @@ class FactorCharValue:
     blocking_coroot: Optional[BlockingCoroot]
 
 
-@dataclass(frozen=True)
-class CharReport:
+class CharReport(NamedTuple):
     """Value and provenance of a character evaluation at the Coxeter class."""
 
     value: int
@@ -81,12 +77,6 @@ class CharReport:
     endpoint_is_rho: Optional[bool]
     blocking_coroot: Optional[BlockingCoroot]
     factors: tuple[FactorCharValue, ...]
-
-    def __post_init__(self):
-        assert self.value in (-1, 0, 1)
-        assert (self.value == 0) == (not self.regular) == (self.blocking_coroot is not None)
-        if self.value != 0:
-            assert self.endpoint_is_rho is True
 
     def as_dict(self) -> dict:
         out: dict = {"value": self.value, "regular": self.regular}
@@ -246,7 +236,7 @@ def char_at_coxeter(rd: RootDatum, lam: Sequence[int]) -> CharReport:
     blocking = next((fv.blocking_coroot for fv in factors if not fv.regular), None)
     regular = blocking is None
     parity = sum(fv.steps for fv in factors) % 2 if regular else None
-    return CharReport(
+    report = CharReport(
         value=(-1 if parity else 1) if regular else 0,
         regular=regular,
         sign_parity=parity,
@@ -254,10 +244,14 @@ def char_at_coxeter(rd: RootDatum, lam: Sequence[int]) -> CharReport:
         blocking_coroot=blocking,
         factors=tuple(factors),
     )
+    assert report.value in (-1, 0, 1)
+    assert (report.value == 0) == (not report.regular) == (report.blocking_coroot is not None)
+    if report.value != 0:
+        assert report.endpoint_is_rho is True
+    return report
 
 
-@dataclass(frozen=True)
-class CentralCharacter:
+class CentralCharacter(NamedTuple):
     """Restriction of rho to the center, on the canonical generators."""
 
     values: tuple[int, ...]  # +1 or -1 per invariant factor of P/Q
@@ -296,8 +290,7 @@ def rho_central_character(rd: RootDatum) -> CentralCharacter:
     return CentralCharacter(values=values, order=2 if -1 in values else 1)
 
 
-@dataclass(frozen=True)
-class LiftOrderReport:
+class LiftOrderReport(NamedTuple):
     factor: str
     coxeter_number: int
     lift_order: int
@@ -364,8 +357,7 @@ def fs_indicator(rd: RootDatum, lam: Sequence[int]) -> int:
     return -1 if total % 2 else 1
 
 
-@dataclass(frozen=True)
-class PrincipalCocharacterReport:
+class PrincipalCocharacterReport(NamedTuple):
     factor: str
     coxeter_number: int
     rho_pairings_all_one: bool
@@ -399,8 +391,6 @@ def verify_principal_cocharacter(rd: RootDatum) -> tuple[PrincipalCocharacterRep
 
     Failures are reported, not silently absorbed.
     """
-    from math import lcm
-
     reports = []
     for f in rd.factors:
         h = f.coxeter_number
@@ -413,10 +403,11 @@ def verify_principal_cocharacter(rd: RootDatum) -> tuple[PrincipalCocharacterRep
             sum(a * b for a, b in zip(f.rho, p.coroot)) == 1 for p in simple_pairs
         )
         # adjoint order: m * rho_check / h lands in P_vee iff all <alpha_i, .> integral
+        # the denominator of x / 2h in lowest terms is 2h / gcd(x, 2h)
         denoms = []
         for i in range(r):
-            v = Fraction(sum(f.cartan[j][i] * f.two_rho_check[j] for j in range(r)), 2 * h)
-            denoms.append(v.denominator)
+            x = sum(f.cartan[j][i] * f.two_rho_check[j] for j in range(r))
+            denoms.append(2 * h // gcd(x, 2 * h))
         adjoint_order = lcm(*denoms) if denoms else 1
         heights_ok = all(p.height % h != 0 for p in f.positive)
         reports.append(

@@ -15,13 +15,14 @@ ZZ[zeta_N] until the final Fraction(c, Norm(b)) per coefficient.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import InternalCheckError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _poly_trim(p: list) -> list:
@@ -88,8 +89,7 @@ def _reduce_int(n: int, coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(rem)
 
 
-@dataclass(frozen=True)
-class CyclotomicInt:
+class CyclotomicInt(NamedTuple):
     """Element of ZZ[zeta_N] in canonical reduced form."""
 
     conductor: int
@@ -131,6 +131,9 @@ class CyclotomicInt:
         self._check(other)
         return CyclotomicInt.from_poly(self.conductor, _poly_mul(self.coeffs, other.coeffs))
 
+    def __rmul__(self, other: object) -> "CyclotomicInt":
+        return NotImplemented  # not tuple repetition
+
     def to_complex(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.conductor)
         return sum(c * z**k for k, c in enumerate(self.coeffs) if c) or 0j
@@ -148,8 +151,7 @@ def zeta_pow(n: int, k: int) -> CyclotomicInt:
     return CyclotomicInt.from_poly(n, [0] * k + [1])
 
 
-@dataclass(frozen=True)
-class CyclotomicRational:
+class CyclotomicRational(NamedTuple):
     """Element of QQ(zeta_N) in canonical reduced form."""
 
     conductor: int
@@ -164,15 +166,6 @@ class CyclotomicRational:
             return None
         c0 = self.coeffs[0]
         return int(c0) if c0.denominator == 1 else None
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CyclotomicInt):
-            return self.conductor == other.conductor and all(
-                a == b for a, b in zip(self.coeffs, other.coeffs)
-            )
-        if isinstance(other, CyclotomicRational):
-            return self.conductor == other.conductor and self.coeffs == other.coeffs
-        return NotImplemented
 
 
 def _galois(b: CyclotomicInt, k: int) -> CyclotomicInt:
@@ -190,6 +183,8 @@ def divide_exact(num: CyclotomicInt, den: CyclotomicInt) -> CyclotomicRational:
     Raises ZeroDivisionError on a zero denominator and InternalCheckError
     if den * rest is not a nonzero rational integer.
     """
+    from fractions import Fraction
+
     if num.conductor != den.conductor:
         raise ValueError("conductor mismatch in division")
     if not den:

@@ -16,71 +16,61 @@ packed orbits.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from math import prod
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalCheckError
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix (tuple of row tuples)."""
+class IntMatrix(tuple):
+    """Immutable integer matrix: the tuple of its row tuples."""
 
-    data: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
-        if data:
-            ncols = len(data[0])
-            if any(len(row) != ncols for row in data):
-                raise ValueError("ragged rows")
-        return cls(data)
+        m = cls(tuple(int(x) for x in row) for row in rows)
+        if m and any(len(row) != len(m[0]) for row in m):
+            raise ValueError("ragged rows")
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "IntMatrix":
         n = len(entries)
-        return cls(tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n))
 
     @property
     def rows(self) -> int:
-        return len(self.data)
+        return len(self)
 
     @property
     def cols(self) -> int:
-        return len(self.data[0]) if self.data else 0
-
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
+        return len(self[0]) if self else 0
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = tuple(zip(*other.data)) if other.data else ()
+        cols = tuple(zip(*other))
         return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.data
-            )
+            tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self
         )
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
+        return tuple(sum(a * b for a, b in zip(row, v)) for row in self)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.data))) if self.data else self
+        return IntMatrix(zip(*self)) if self else self
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(k * x for x in row) for row in self.data))
+        return IntMatrix(tuple(k * x for x in row) for row in self)
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -89,7 +79,7 @@ class IntMatrix:
             raise ValueError("determinant of non-square matrix")
         if n == 0:
             return 1
-        a = [list(row) for row in self.data]
+        a = [list(row) for row in self]
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -142,7 +132,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 def _smith(m: IntMatrix) -> tuple[list[list[int]], ...]:
     """(U, D, V) of ``smith_normal_form`` as lists of rows."""
     nrows, ncols = m.rows, m.cols
-    a = [list(row) for row in m.data]
+    a = [list(row) for row in m]
     u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
@@ -264,8 +254,7 @@ def _fields_within(x: int, hi: int, bits: int, ones: int) -> bool:
     return not ((x | (x + ((1 << top) - 1 - hi) * ones)) >> top) & ones
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(NamedTuple):
     """A quotient ZZ^rank / L in invariant-factor form, with maps.
 
     ``invariant_factors`` lists the d_i >= 2 with d1 | d2 | ... ; trivial
@@ -276,9 +265,9 @@ class FiniteAbelianGroup:
 
     ambient_rank: int
     invariant_factors: tuple[int, ...]
-    _rows: tuple[tuple[int, ...], ...]  # the row of U for each invariant factor
-    _basis: IntMatrix  # B, whose column span is L
-    _columns: tuple[tuple[int, ...], ...]  # the column of V for each invariant factor
+    u_rows: tuple[tuple[int, ...], ...]  # the row of U for each invariant factor
+    basis: IntMatrix  # B, whose column span is L
+    v_columns: tuple[tuple[int, ...], ...]  # the column of V for each invariant factor
 
     @property
     def order(self) -> int:
@@ -296,14 +285,14 @@ class FiniteAbelianGroup:
     def project(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.ambient_rank:
             raise ValueError("vector length mismatch")
-        return apply_mod(self._rows, self.invariant_factors, v)
+        return apply_mod(self.u_rows, self.invariant_factors, v)
 
     def _biases(self, bound: int) -> list[int]:
         """Per invariant factor d, the least multiple of d that is at least
         |row . v| for every v with all |v_k| <= bound."""
         return [
             -(-bound * sum(map(abs, row)) // d) * d
-            for row, d in zip(self._rows, self.invariant_factors)
+            for row, d in zip(self.u_rows, self.invariant_factors)
         ]
 
     def packed_bits(self, bound: int) -> int:
@@ -326,7 +315,7 @@ class FiniteAbelianGroup:
         outside [0, 2B] by less than 2^(bits-1) raises InternalCheckError.
         """
         out = []
-        for row, d, b in zip(self._rows, self.invariant_factors, self._biases(bound)):
+        for row, d, b in zip(self.u_rows, self.invariant_factors, self._biases(bound)):
             x = sum(map(mul, row, cols)) + b * ones
             if not _fields_within(x, 2 * b, bits, ones):
                 raise InternalCheckError(
@@ -343,14 +332,14 @@ class FiniteAbelianGroup:
         so it is sum_i r_i * B V[:, i] / d_i: B applied to
         sum_i r_i (e / d_i) V[:, i], with e the exponent, divided exactly by e.
         """
-        if len(residues) != len(self._columns):
+        if len(residues) != len(self.v_columns):
             raise ValueError("residue tuple length mismatch")
         e = self.exponent
-        w = [0] * self._basis.cols
-        for col, d, r in zip(self._columns, self.invariant_factors, residues):
+        w = [0] * self.basis.cols
+        for col, d, r in zip(self.v_columns, self.invariant_factors, residues):
             k = r % d * (e // d)
             w = [a + k * b for a, b in zip(w, col)]
-        return tuple(x // e for x in self._basis.apply(w))
+        return tuple(x // e for x in self.basis.apply(w))
 
 
 def quotient(ambient_rank: int, sublattice_basis: IntMatrix) -> FiniteAbelianGroup:
@@ -372,7 +361,7 @@ def quotient(ambient_rank: int, sublattice_basis: IntMatrix) -> FiniteAbelianGro
     return FiniteAbelianGroup(
         ambient_rank=ambient_rank,
         invariant_factors=tuple(di for _, di in kept),
-        _rows=tuple(tuple(u[i]) for i, _ in kept),
-        _basis=sublattice_basis,
-        _columns=tuple(tuple(row[i] for row in v) for i, _ in kept),
+        u_rows=tuple(tuple(u[i]) for i, _ in kept),
+        basis=sublattice_basis,
+        v_columns=tuple(tuple(row[i] for row in v) for i, _ in kept),
     )

@@ -34,7 +34,6 @@ import cmath
 import struct
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -203,16 +202,21 @@ def _field_bytes(x: int, length: int, f: SimpleFactor) -> bytes:
         raise InternalCheckError(f"packed orbit block of {f.name} left its fields") from None
 
 
-@dataclass
 class CoxeterEvaluation:
     """Evaluation data at the Coxeter element of one simple factor."""
 
-    factor: SimpleFactor
-    conductor: int  # N = h * e, e the exponent of P/Q
-    weight_exponents: tuple[int, ...]  # e * <omega_k, rho_check>, all integral
-    _orbit: tuple[str, tuple[SignClass, ...]] | None = field(default=None, repr=False)
-    _denominator: CyclotomicInt | None = field(default=None, repr=False)
-    _denominator_shadow: complex = field(default=0j, repr=False)
+    __slots__ = (
+        "factor", "conductor", "weight_exponents",
+        "_orbit", "_denominator", "_denominator_shadow",
+    )
+
+    def __init__(self, factor: SimpleFactor, conductor: int, weight_exponents: tuple[int, ...]):
+        self.factor = factor
+        self.conductor = conductor  # N = h * e, e the exponent of P/Q
+        self.weight_exponents = weight_exponents  # e * <omega_k, rho_check>, all integral
+        self._orbit: tuple[str, tuple[SignClass, ...]] | None = None
+        self._denominator: CyclotomicInt | None = None
+        self._denominator_shadow = 0j
 
     @classmethod
     def for_factor(cls, f: SimpleFactor) -> "CoxeterEvaluation":

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from math import prod
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -196,8 +195,7 @@ def _pack_coroots(positive: Sequence[RootPair], rank: int, h: int) -> PackedCoro
     return PackedCoroots(columns, bits, bias, ones, ones << (bits - 1))
 
 
-@dataclass(frozen=True)
-class SimpleFactor:
+class SimpleFactor(NamedTuple):
     """One simple factor of a root datum, fully precomputed."""
 
     family: str
@@ -209,9 +207,7 @@ class SimpleFactor:
     highest_coroot: RootPair
     two_rho_check: tuple[int, ...]  # simple-coroot coords of the sum of positive coroots
     weyl_order: int
-    # kept out of __eq__ and __hash__: hashing a frozen dataclass hashes
-    # every compared field, and these integers are long
-    packed: PackedCoroots = field(compare=False, repr=False)
+    packed: PackedCoroots
 
     @property
     def name(self) -> str:
@@ -276,8 +272,7 @@ def _build_factor(family: str, rank: int) -> SimpleFactor:
     )
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(NamedTuple):
     """Root datum of a simply connected semisimple group (possibly a product)."""
 
     cartan_type: CartanType

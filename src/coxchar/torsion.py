@@ -35,11 +35,10 @@ oracle), to name the earliest failing trial as the witness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial, reduce
 from math import gcd
 from operator import mul, or_, xor
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded
 from .lattice import FiniteAbelianGroup, _ones, _pack, quotient
@@ -73,8 +72,7 @@ def char_group_of_torsion(rd: RootDatum, n: int) -> FiniteAbelianGroup:
     return quotient(rd.rank, rd.cartan.scale(n))
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     type_string: str
     n: int
     invariant_factors_coweight_side: tuple[int, ...]
@@ -134,7 +132,7 @@ def duality_report(
     cartan = rd.cartan
     certified = not any(
         any(cg.project(v))
-        for a in zip(*cartan.scale(n).data)  # the columns n * alpha_i of n * A
+        for a in zip(*cartan.scale(n))  # the columns n * alpha_i of n * A
         for v in [a] + [_reflect(cartan, a, j) for j in range(r)]
     )
     return DualityReport(
@@ -169,7 +167,7 @@ def _first_failure(
     """
     r = rd.rank
     cartan = rd.cartan
-    reach = 3 * n + 2 * n * max(sum(map(abs, row)) for row in cartan.data)
+    reach = 3 * n + 2 * n * max(sum(map(abs, row)) for row in cartan)
     off_diagonal = (abs(cartan[k][j]) for k in range(r) for j in range(r) if k != j)
     bound = reach * (1 + max(off_diagonal, default=0))
     bits = group.packed_bits(bound)
@@ -182,7 +180,7 @@ def _first_failure(
         ones = _ones(size, width)
         cols = [_pack(draws[k :: 2 * r], lo, width, ones) for k, (lo, _) in enumerate(spans)]
         x, m = cols[:r], cols[r:]
-        x2 = [c + n * sum(map(mul, row, m)) for c, row in zip(x, cartan.data)]
+        x2 = [c + n * sum(map(mul, row, m)) for c, row in zip(x, cartan)]
         pairs = [(x, x2)] + [(_reflect(cartan, x, j), _reflect(cartan, x2, j)) for j in range(r)]
         project = partial(group.project_packed, bound=bound, bits=bits, ones=ones)
         # per check, the fields of the trials where some residue differs
@@ -202,8 +200,7 @@ def _first_failure(
     return None
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     type_string: str
     n: int
     total_classes: int

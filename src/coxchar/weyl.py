@@ -43,14 +43,6 @@ def _reflect(cartan: IntMatrix, coords: Sequence[int], j: int) -> tuple[int, ...
     return tuple(c - cj * cartan[k][j] for k, c in enumerate(coords))
 
 
-def simple_reflection(rd: RootDatum, i: int, lam: Sequence[int]) -> Weight:
-    """s_i(lam) = lam - <lam, alpha_i_vee> alpha_i, with i 1-based."""
-    if not 1 <= i <= rd.rank:
-        raise ValueError(f"simple index {i} out of range 1..{rd.rank}")
-    lam = rd.validate_weight(lam)
-    return _reflect(rd.cartan, lam, i - 1)
-
-
 def make_dominant(rd: RootDatum, lam: Sequence[int]) -> tuple[Weight, int, int]:
     """Reflect lam into the dominant chamber.
 

@@ -22,7 +22,7 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     n = m.rows
     if n != m.cols:
         raise ValueError("inverse of non-square matrix")
-    a = [[Fraction(x) for x in row] for row in m.data]
+    a = [[Fraction(x) for x in row] for row in m]
     inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next((i for i in range(col, n) if a[i][col] != 0), None)

@@ -19,8 +19,7 @@ from coxchar.oracle import (
     weyl_numerator,
 )
 from coxchar.rootdata import build
-from coxchar.weyl import simple_reflection
-from weyl_reference import enumerate_weyl
+from weyl_reference import enumerate_weyl, simple_reflection
 
 
 class TestWeylNumerator:

@@ -1,0 +1,163 @@
+"""What the library's records promise, whatever type implements them.
+
+Reports, root data and matrices are immutable tuples (``NamedTuple``s,
+and ``IntMatrix`` a tuple of its rows), so importing the package needs
+neither ``dataclasses`` nor its per-class code generation.  These tests
+pin what that choice could change without any output changing:
+immutability, equality and hashing, row iteration, truth values and
+arithmetic that must not fall through to tuple operations.  They also
+pin the import set of a cold start and the names the benchmark's tracer
+rebinds.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from coxchar import character, cyclotomic, lattice, oracle, rootdata, torsion, weyl
+from coxchar.cyclotomic import CyclotomicInt, divide_exact
+from coxchar.lattice import IntMatrix
+from coxchar.rootdata import build
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MODULES = (character, cyclotomic, lattice, oracle, rootdata, torsion, weyl)
+
+
+def _instances() -> dict:
+    """One instance of every record class, built by the library."""
+    rd = build("A1xB2")
+    f = rd.factors[1]
+    a2 = build("A2")
+    one = CyclotomicInt.one(5)
+    return {
+        "CartanType": rd.cartan_type,
+        "RootPair": f.positive[0],
+        "PackedCoroots": f.packed,
+        "SimpleFactor": f,
+        "RootDatum": rd,
+        "IntMatrix": rd.cartan,
+        "FiniteAbelianGroup": rd.center,
+        "CyclotomicInt": one,
+        "CyclotomicRational": divide_exact(one, one),
+        "BlockingCoroot": character.char_at_coxeter(a2, (1, 0)).blocking_coroot,
+        "FactorCharValue": character.char_at_coxeter(rd, (0, 0, 0)).factors[0],
+        "CharReport": character.char_at_coxeter(rd, (0, 0, 0)),
+        "CentralCharacter": character.rho_central_character(rd),
+        "LiftOrderReport": character.coxeter_lift_order(rd)[0],
+        "PrincipalCocharacterReport": character.verify_principal_cocharacter(rd)[0],
+        "DualityReport": torsion.duality_report(a2, 3),
+        "OrbitReport": torsion.classify_regular_orbits(a2, 3),
+        "WeylElement": weyl.coxeter_element(a2),
+    }
+
+
+def _record_classes() -> set[str]:
+    """Every tuple-based class the library defines."""
+    return {
+        name
+        for mod in MODULES
+        for name, obj in vars(mod).items()
+        if inspect.isclass(obj) and issubclass(obj, tuple) and obj.__module__ == mod.__name__
+    }
+
+
+def test_every_record_class_is_covered():
+    assert _record_classes() == set(_instances())
+
+
+@pytest.mark.parametrize("name", sorted(_instances()))
+def test_records_reject_attribute_assignment(name):
+    rec = _instances()[name]
+    assert type(rec).__name__ == name
+    field = rec._fields[0] if hasattr(rec, "_fields") else "rows"
+    with pytest.raises(AttributeError):
+        setattr(rec, field, None)
+    with pytest.raises(AttributeError):
+        rec.not_a_field = 1
+
+
+def test_evaluation_caches_take_no_new_attributes():
+    ev = oracle.CoxeterEvaluation.for_factor(build("A2").factors[0])
+    with pytest.raises(AttributeError):
+        ev.not_a_field = 1
+
+
+def test_equal_builds_are_equal_and_hash_equal():
+    a, b = build("E8"), build("E8")
+    assert a == b
+    assert hash(a) == hash(b)
+    assert build("A1xB2") != build("B2xA1")
+
+
+def test_a_matrix_iterates_as_its_rows():
+    rd = build("B2")
+    assert list(rd.cartan) == [(2, -1), (-2, 2)]
+    assert rd.cartan[1] == (-2, 2)
+    assert (rd.cartan.rows, rd.cartan.cols) == (2, 2)
+    assert isinstance(rd.cartan @ rd.cartan, IntMatrix)
+    with pytest.raises(ValueError, match="ragged"):
+        IntMatrix.from_rows([[1, 2], [3]])
+
+
+def test_cyclotomic_truth_and_arithmetic():
+    assert not CyclotomicInt.zero(5)
+    assert CyclotomicInt.one(5)
+    with pytest.raises(TypeError):
+        2 * CyclotomicInt.one(5)
+    assert CyclotomicInt.one(5) * CyclotomicInt.one(5) == CyclotomicInt.one(5)
+    assert divide_exact(CyclotomicInt.one(5), CyclotomicInt.one(5)) == CyclotomicInt.one(5)
+
+
+_COLD_START = """
+import json, sys
+before = set(sys.modules)
+import coxchar
+from coxchar import cli
+e8 = coxchar.build("E8")
+coxchar.char_at_coxeter(e8, (1, 0, 0, 0, 0, 0, 1, 2))
+coxchar.fs_indicator(e8, (0, 0, 0, 0, 0, 0, 0, 1))
+a2 = coxchar.build("A2")
+coxchar.char_at_coxeter_oracle(a2, (1, 1))
+coxchar.classify_regular_orbits(a2, 3)
+coxchar.duality_report(a2, 3)
+cli.main(["char", "A2", "1", "1"])
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cold_start_loads_no_dataclasses_inspect_or_fractions():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START], capture_output=True, text=True, env=env, check=True
+    )
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "coxchar.character" in loaded
+    assert loaded & {"dataclasses", "inspect", "fractions"} == set()
+
+
+def _tracing_targets() -> dict:
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+@pytest.mark.parametrize("name,target", sorted(_tracing_targets().items()))
+def test_every_tracing_target_resolves_to_a_callable(name, target):
+    # resolved as the tracer does: the attribute must sit on its owner
+    modname, path = target
+    module = importlib.import_module(modname)
+    owner_name, _, attr = path.rpartition(".")
+    owner = getattr(module, owner_name) if owner_name else module
+    raw = vars(owner).get(attr)
+    if isinstance(raw, classmethod):
+        raw = raw.__func__
+    assert callable(raw), f"{name}: {modname}.{path} is {raw!r}"

@@ -2,7 +2,6 @@ import random
 import signal
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import replace
 from itertools import product
 from math import comb, gcd
 
@@ -387,8 +386,8 @@ def bump_highest_coroot(rd, k, i):
     f = rd.factors[k]
     c = list(f.highest_coroot.coroot)
     c[i] += 1
-    bumped = replace(f, highest_coroot=f.highest_coroot._replace(coroot=tuple(c)))
-    return replace(rd, factors=rd.factors[:k] + (bumped,) + rd.factors[k + 1 :])
+    bumped = f._replace(highest_coroot=f.highest_coroot._replace(coroot=tuple(c)))
+    return rd._replace(factors=rd.factors[:k] + (bumped,) + rd.factors[k + 1 :])
 
 
 @pytest.mark.parametrize("t,i", [("B3", 0), ("B3", 2), ("G2", 1), ("A1xA1", 0)])
@@ -581,7 +580,7 @@ def test_passing_reports_draw_nothing(monkeypatch, t, ns):
 
 def bumped_char_group(rd, n):
     """The quotient by n * A with entry (0, 0) raised by 1."""
-    rows = [list(row) for row in rd.cartan.scale(n).data]
+    rows = [list(row) for row in rd.cartan.scale(n)]
     rows[0][0] += 1
     return quotient(rd.rank, IntMatrix.from_rows(rows))
 

@@ -3,17 +3,19 @@
 The library never lists a Weyl group: the oracle walks one orbit along
 a parabolic chain and the census walks residue classes.  These helpers
 enumerate every element as an integer matrix, which is slow but plain,
-so the tests can check those walkers against a brute-force sum.
+so the tests can check those walkers against a brute-force sum.  One
+simple reflection of a weight, which the library applies only inside
+``make_dominant``, is here too.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from coxchar.errors import CapExceeded, InternalCheckError
 from coxchar.lattice import IntMatrix
-from coxchar.rootdata import RootDatum
-from coxchar.weyl import WeylElement, reflection_matrix
+from coxchar.rootdata import RootDatum, Weight
+from coxchar.weyl import WeylElement, _reflect, reflection_matrix
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
 
@@ -36,7 +38,7 @@ def enumerate_weyl(
     n = rd.rank
     gens = [reflection_matrix(rd, i) for i in range(1, n + 1)]
     ident = IntMatrix.identity(n)
-    seen = {ident.data}
+    seen = {ident}
     frontier = [WeylElement(ident, 1, ())]
     while frontier:
         nxt = []
@@ -44,14 +46,22 @@ def enumerate_weyl(
             yield el
             for i, g in enumerate(gens, start=1):
                 m = el.matrix @ g
-                if m.data not in seen:
-                    seen.add(m.data)
+                if m not in seen:
+                    seen.add(m)
                     nxt.append(WeylElement(m, -el.sign, el.word + (i,)))
         frontier = nxt
     if len(seen) != order:
         raise InternalCheckError(
             f"BFS closure produced {len(seen)} elements, expected {order}"
         )
+
+
+def simple_reflection(rd: RootDatum, i: int, lam: Sequence[int]) -> Weight:
+    """s_i(lam) = lam - <lam, alpha_i_vee> alpha_i, with i 1-based."""
+    if not 1 <= i <= rd.rank:
+        raise ValueError(f"simple index {i} out of range 1..{rd.rank}")
+    lam = rd.validate_weight(lam)
+    return _reflect(rd.cartan, lam, i - 1)
 
 
 def matrix_order(m: IntMatrix, bound: int = 10_000) -> int:
