@@ -16,7 +16,7 @@ The pass is packed: each factor holds, per simple-coroot coordinate i,
 one big integer with a field per positive coroot in table order
 (``rootdata.PackedCoroots``).  sum_i (mu_i mod h) * column_i puts
 <mu mod h, beta_vee> in every field at once; ``lattice._reduce_fields``,
-the kernel the oracle and the census use, reduces them mod h.  A field
+the kernel the torsion duality check shares, reduces them mod h.  A field
 is the least whole number of bytes whose top bit lies above the
 reduction's range, 2 * bias with bias the least multiple of h at least
 (h - 1)^2 / 2 (the largest pairing), and that holds the sum of all the

@@ -314,6 +314,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except MemoryError:
+        print("refused: out of memory; lower --weyl-cap or use the fast path", file=sys.stderr)
+        return EXIT_CAP
     except (TheoremViolation, InternalCheckError) as exc:
         print(f"diagnostic: {exc}", file=sys.stderr)
         if isinstance(exc, TheoremViolation) and exc.witness:

@@ -9,8 +9,8 @@ group in invariant-factor form together with an explicit projection map
 (center of the group, torsion points of tori, character groups).
 ``FiniteAbelianGroup.project_packed`` projects many vectors at once, each
 coordinate packed into one big integer with a field per vector; its
-in-place field reduction ``_reduce_fields`` also reduces the oracle's
-packed orbits.
+in-place field reduction ``_reduce_fields`` also reduces the fast
+path's packed coroot pairings.
 """
 
 from __future__ import annotations

@@ -22,49 +22,55 @@ coset representatives d, and each tree edge reflects a whole block of
 packed coordinates at once.  The build raises on a start that is not
 strictly dominant, on an orbit whose size is not |W| or whose sign
 classes are not |W|/2 each, and on an orbit that does not sum to 0.
-Each sign class is stored as one big integer per coordinate, its orbit
-points' residues mod N packed into 16-, 32- or 64-bit fields, so the
-pairings with mu are r big-integer multiply-adds and the Weyl sum is a
-histogram of the fields, folded mod N.
+Each sign class is then stored as one byte string per coordinate, a
+byte per orbit point holding its residue mod N.  One kernel,
+``_byte_residues``, computes sum_i m_i * col_i mod N bytewise: each
+column goes through a 256-byte translate table of b -> m_i * b mod N,
+the results are added as big integers, and a "mod N" table folds the
+sum back whenever one more term could carry out of a byte.  Two
+residues must add up within a byte, so N <= 128; a larger N is refused
+before any orbit is built.  The pairings of mu with a sign class are
+that kernel with m_i = mu_i, and the Weyl sum is one ``bytes.count``
+per residue; the build reduces its packed orbit with the same kernel,
+one column per byte lane of the packed fields and m_j = 256^j mod N.
 """
 
 from __future__ import annotations
 
 import cmath
-import struct
 import sys
-from collections import Counter
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .cyclotomic import CyclotomicInt, divide_exact
 from .errors import CapExceeded, InternalCheckError, TheoremViolation
-from .lattice import IntMatrix, _ones, _reduce_fields
+from .lattice import IntMatrix, _ones
 from .rootdata import RootDatum, SimpleFactor
 
 DEFAULT_WEYL_CAP = 5_000_000
 FLOAT_SHADOW_TOLERANCE = 1e-6
+MAX_CONDUCTOR = 128  # two residues mod N must add up within a byte
 
-# (sign, one packed integer per coordinate, number of points)
-SignClass = tuple[int, tuple[int, ...], int]
+# (sign, one byte string of residues mod N per coordinate, number of points)
+SignClass = tuple[int, tuple[bytes, ...], int]
 
 
 # (bits, struct format) of the packed fields, narrowest first
-_FIELD_FORMATS = ((16, "H"), (32, "I"), (64, "Q"))
+_FIELD_FORMATS = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
 
 
 def _packing(rank: int, n: int, start: Sequence[int]) -> tuple[int, int, str]:
     """(bias, bits, format) for packing the orbit of ``start`` mod n.
 
-    The bias B is the smallest multiple of n with B >= max|start_i|.
-    Every orbit point of a dominant start has |x_i| <= max|start_i|, so a
-    biased coordinate x_i + B lies in [0, 2B], which the reduction mod n
-    needs below the field's top bit; once reduced, a pairing with mu
-    reduced mod n is at most rank * (n - 1)**2.  The field is the
-    narrowest that holds both.
+    The bias B is the smallest multiple of n with B >= max|start_i|, so
+    x_i + B = x_i mod n.  Every orbit point of a dominant start has
+    |x_i| <= max|start_i|, so a biased coordinate x_i + B lies in
+    [0, 2B], and the field is the narrowest that holds it: 8 bits for
+    E6 and E7, 16 for A8 and E8.  The pairings with mu never sit in
+    these fields; ``_byte_residues`` sums them in bytes.
     """
     bias = -(-max(map(abs, start)) // n) * n
-    need = max(4 * bias, rank * (n - 1) ** 2)
+    need = 2 * bias
     for bits, fmt in _FIELD_FORMATS:
         if need < 1 << bits:
             return bias, bits, fmt
@@ -114,10 +120,9 @@ def _reflect(
 
 def _build_signed_orbit(
     f: SimpleFactor, start: tuple[int, ...], n: int
-) -> tuple[str, tuple[SignClass, ...]]:
+) -> tuple[SignClass, ...]:
     """The signed W-orbit of a strictly dominant coweight ``start``
-    (simple-coroot coordinates), split by det(w) and packed mod n:
-    (field format, sign classes).
+    (simple-coroot coordinates) as residues mod n, split by det(w).
 
     W = W^J W_J along the chain of parabolics W_{<1} < W_{<2} < ... < W,
     so the W_{<=k}-orbit is the union of d(W_{<k}-orbit) over the tree
@@ -125,11 +130,13 @@ def _build_signed_orbit(
     integer per coordinate, the det = +1 points in its first fields and
     the det = -1 points after them, and each tree edge is one packed
     reflection of a whole block; no Python object is made per point.
-    The fields carry x + B until the end, where they are reduced mod n
-    once (n divides B).  Raises InternalCheckError on a start that is
-    not strictly dominant, an orbit whose size is not |W| or whose sign
-    classes are not |W|/2 each, and an orbit that does not sum to 0
-    coordinatewise (V has no W-invariants).
+    The fields carry x + B until the end, where ``_byte_residues``
+    reduces each coordinate mod n once (n divides B), from the byte
+    lanes of its fields with the multipliers 256^j mod n.  Raises
+    InternalCheckError on a start that is not strictly dominant, an
+    orbit whose size is not |W| or whose sign classes are not |W|/2
+    each, and an orbit that does not sum to 0 coordinatewise (V has no
+    W-invariants).
     """
     cartan = f.cartan
     r = f.rank
@@ -176,21 +183,22 @@ def _build_signed_orbit(
             f"orbit sign classes of {f.name} have {plus} and {size - plus} points, "
             f"not {size // 2} each"
         )
-    ones = _ones(size, width)
-    cut = plus * width
+    lanes = [pow(256, j, n) for j in range(width)]
+    if order == "big":
+        lanes.reverse()
     sums, first, rest = [], [], []
     for i in range(r):
-        x = block[i]
+        v = _field_bytes(block[i], size * width, f)
         block[i] = None
-        sums.append(sum(memoryview(_field_bytes(x, size * width, f)).cast(fmt)) - size * bias)
-        v = memoryview(_field_bytes(_reduce_fields(x, n, bias, bits, ones), size * width, f))
-        first.append(int.from_bytes(v[:cut], order))
-        rest.append(int.from_bytes(v[cut:], order))
+        sums.append(sum(memoryview(v).cast(fmt)) - size * bias)
+        x = _byte_residues(n, [(m, v[j::width]) for j, m in enumerate(lanes)], size)
+        first.append(x[:plus])
+        rest.append(x[plus:])
     if any(sums):
         raise InternalCheckError(
             f"signed orbit of {f.name} sums to {sums}, not 0: V has no W-invariants"
         )
-    return fmt, ((1, tuple(first), plus), (-1, tuple(rest), size - plus))
+    return (1, tuple(first), plus), (-1, tuple(rest), size - plus)
 
 
 def _field_bytes(x: int, length: int, f: SimpleFactor) -> bytes:
@@ -200,6 +208,36 @@ def _field_bytes(x: int, length: int, f: SimpleFactor) -> bytes:
         return x.to_bytes(length, sys.byteorder)
     except OverflowError:
         raise InternalCheckError(f"packed orbit block of {f.name} left its fields") from None
+
+
+@lru_cache(maxsize=None)
+def _times_table(n: int, m: int) -> bytes:
+    """The translate table b -> m * b mod n of a byte b, for 0 <= m < n;
+    the cache holds at most n tables of 256 bytes per conductor n.  The
+    table repeats with period n, so only its first n entries are
+    computed."""
+    return (bytes([m * b % n for b in range(n)]) * (256 // n + 1))[:256]
+
+
+def _byte_residues(n: int, terms: Iterable[tuple[int, bytes]], size: int) -> bytes:
+    """sum_i m_i * col_i mod n in each of `size` bytes, for n <= 128.
+
+    Each column is translated to its bytes m_i * b mod n, at most n - 1,
+    and added as one big integer.  A byte holds ``room`` such residues,
+    so once it holds that many the sum is folded back through the table
+    b -> b mod n, which leaves one residue, before the next term could
+    carry into the next byte.
+    """
+    room = 255 // (n - 1)
+    fold = _times_table(n, 1)
+    total = held = 0
+    for m, col in terms:
+        if held == room:
+            total = int.from_bytes(total.to_bytes(size, "little").translate(fold), "little")
+            held = 1
+        total += int.from_bytes(col.translate(_times_table(n, m % n)), "little")
+        held += 1
+    return total.to_bytes(size, "little").translate(fold)
 
 
 class CoxeterEvaluation:
@@ -214,7 +252,7 @@ class CoxeterEvaluation:
         self.factor = factor
         self.conductor = conductor  # N = h * e, e the exponent of P/Q
         self.weight_exponents = weight_exponents  # e * <omega_k, rho_check>, all integral
-        self._orbit: tuple[str, tuple[SignClass, ...]] | None = None
+        self._orbit: tuple[SignClass, ...] | None = None
         self._denominator: CyclotomicInt | None = None
         self._denominator_shadow = 0j
 
@@ -232,9 +270,9 @@ class CoxeterEvaluation:
             exps.append(v)
         return cls(factor=f, conductor=n, weight_exponents=tuple(exps))
 
-    def _signed_orbit(self) -> tuple[str, tuple[SignClass, ...]]:
-        """The field format and the sign classes of the signed W-orbit of
-        e * rho_check, packed mod N; built on the first call and cached."""
+    def _signed_orbit(self) -> tuple[SignClass, ...]:
+        """The sign classes of the signed W-orbit of e * rho_check, as
+        residues mod N; built on the first call and cached."""
         if self._orbit is None:
             self._orbit = _build_signed_orbit(self.factor, self.weight_exponents, self.conductor)
         return self._orbit
@@ -244,19 +282,16 @@ class CoxeterEvaluation:
 
         e * <w(mu), rho_check> = <mu, v> for v = w^-1(e * rho_check), and
         det(w) = det(w^-1), so this is the histogram of <mu, v> mod N
-        over the signed orbit.  mu is reduced mod N first, so each packed
-        field of the sum holds at most r * (N - 1)**2 and no field
-        carries into the next.
+        over the signed orbit: per sign class, ``_byte_residues`` puts
+        each point's pairing mod N in a byte and ``bytes.count`` counts
+        every residue.
         """
         n = self.conductor
         counts = [0] * n
-        fmt, classes = self._signed_orbit()
-        width = struct.calcsize(fmt)
-        for sign, packed, size in classes:
-            total = sum(m % n * p for m, p in zip(mu, packed))
-            fields = memoryview(total.to_bytes(width * size, sys.byteorder)).cast(fmt)
-            for v, c in Counter(fields).items():
-                counts[v % n] += sign * c
+        for sign, cols, size in self._signed_orbit():
+            x = _byte_residues(n, zip(mu, cols), size)
+            for k in range(n):
+                counts[k] += sign * x.count(k)
         return counts
 
     def numerator(self, lam: Sequence[int]) -> tuple[CyclotomicInt, complex]:
@@ -292,6 +327,13 @@ def _check_cap(rd: RootDatum, cap: int | None) -> None:
             f"oracle needs the full Weyl sum: |W({rd.type_string})| = {rd.weyl_order} "
             f"exceeds the cap {cap}; use the fast path, or raise the cap to force this"
         )
+    for f in rd.factors:
+        n = _evaluation(f).conductor
+        if n > MAX_CONDUCTOR:
+            raise CapExceeded(
+                f"oracle keeps residues mod N in bytes: the conductor N = {n} of {f.name} "
+                f"exceeds {MAX_CONDUCTOR}; use the fast path"
+            )
 
 
 def weyl_numerator(

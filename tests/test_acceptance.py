@@ -20,9 +20,10 @@ from coxchar.character import (
     verify_principal_cocharacter,
 )
 from coxchar.cyclotomic import CyclotomicInt, cyclotomic_polynomial, divide_exact, phi_degree
-from coxchar.oracle import char_at_coxeter_oracle, float_shadow
+from coxchar.oracle import _evaluation, char_at_coxeter_oracle, float_shadow
 from coxchar.rootdata import build
 from coxchar.torsion import classify_regular_orbits, duality_report
+from weyl_reference import reference_signed_orbit_counts
 
 CRITERION_1_TYPES = [
     "A1", "A2", "A3", "A4", "A5",
@@ -106,6 +107,10 @@ def test_criterion_2_e7_sweep():
         lam = tuple(rng.randint(0, 3) for _ in range(7))
         assert char_at_coxeter(rd, lam).value == char_at_coxeter_oracle(rd, lam)
     elapsed = time.monotonic() - started
+    # the last weight's histogram against multiply-add and Counter
+    ev = _evaluation(rd.factors[0])
+    mu = tuple(c + 1 for c in lam)
+    assert ev.signed_orbit_counts(mu) == reference_signed_orbit_counts(ev, mu)
     assert elapsed < 60, f"E7 sweep took {elapsed:.1f}s, budget is 1 minute"
     report(2, f"E7: 3 random weights vs oracle, {elapsed:.1f}s")
 

@@ -1,12 +1,17 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from coxchar.cli import EXIT_CAP, EXIT_DIAGNOSTIC, EXIT_OK, EXIT_USAGE, main
 
-SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" / "cli_output.schema.json"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_PATH = ROOT / "schemas" / "cli_output.schema.json"
 
 
 def run(capsys, *argv):
@@ -86,6 +91,32 @@ class TestChar:
         assert code == EXIT_OK
         assert doc["char"]["value"] == -1
         assert doc["agrees"] is True
+
+    def test_conductor_above_128_refused_exit_4(self, capsys):
+        # the oracle keeps residues mod N in bytes; N = 256 for A15
+        code, out, err = run(capsys, "char", "A15", *["0"] * 15, "--oracle",
+                             "--weyl-cap", str(10**14))
+        assert code == EXIT_CAP
+        assert out == ""
+        assert "refused:" in err and "N = 256" in err
+
+    def test_out_of_memory_refused_exit_4(self):
+        # the E8 orbit passes --weyl-cap but not the child's 300 MB of
+        # address space; the limit is set in the child only
+        limit = 300 * 2**20
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "coxchar", "char", "E8", *["0"] * 7, "1",
+             "--oracle", "--weyl-cap", "1000000000"],
+            capture_output=True, text=True, timeout=120, preexec_fn=limit_memory,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert proc.returncode == EXIT_CAP, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("refused:")
 
     def test_wrong_rank_exit_2(self, capsys):
         code, _, err = run(capsys, "char", "A2", "1")

@@ -13,13 +13,14 @@ from coxchar.character import char_at_coxeter
 from coxchar.cyclotomic import zeta_pow
 from coxchar.errors import CapExceeded, InternalCheckError, TheoremViolation
 from coxchar.oracle import (
+    MAX_CONDUCTOR,
     CoxeterEvaluation,
     char_at_coxeter_oracle,
     float_shadow,
     weyl_numerator,
 )
 from coxchar.rootdata import build
-from weyl_reference import enumerate_weyl, simple_reflection
+from weyl_reference import enumerate_weyl, reference_signed_orbit_counts, simple_reflection
 
 
 class TestWeylNumerator:
@@ -50,6 +51,29 @@ class TestWeylNumerator:
         monkeypatch.setattr(oracle, "_build_signed_orbit", walk)
         with pytest.raises(CapExceeded):
             char_at_coxeter_oracle(build("E8"), (0,) * 8)
+
+    @pytest.mark.parametrize("t", ["A11", "A15", "A1xA15", "A16"])
+    def test_conductor_above_a_byte_is_refused_before_any_orbit_walk(self, monkeypatch, t):
+        # two residues mod N add up within a byte only for N <= 128;
+        # A11 (N = 144) is the first A type above that
+        def walk(f, start, n):
+            raise AssertionError("orbit built before the conductor check")
+
+        monkeypatch.setattr(oracle, "_build_signed_orbit", walk)
+        rd = build(t)
+        n = (rd.factors[-1].rank + 1) ** 2
+        for call in (char_at_coxeter_oracle, float_shadow):
+            with pytest.raises(CapExceeded, match=f"N = {n} of A{rd.factors[-1].rank}"):
+                call(rd, (0,) * rd.rank, cap=None)
+        if rd.is_simple:
+            with pytest.raises(CapExceeded, match=f"N = {n} "):
+                weyl_numerator(rd, (0,) * rd.rank, cap=None)
+
+    @pytest.mark.parametrize("t, n", [("A10", 121), ("B32", 128)])
+    def test_conductors_up_to_128_pass_the_check(self, t, n):
+        rd = build(t)
+        assert oracle._evaluation(rd.factors[0]).conductor == n <= MAX_CONDUCTOR
+        oracle._check_cap(rd, None)
 
     @pytest.mark.parametrize("t", ["A2", "B2", "G2", "A3"])
     def test_alternating_in_mu(self, t):
@@ -105,12 +129,14 @@ class TestPacking:
         assert struct.calcsize(fmt) * 8 == bits
         # every orbit point of the dominant start lies within +-max(start)
         assert bias % n == 0 and bias - n < max(start) <= bias
-        # biased coordinates in [0, 2B] keep the top bit free for the reduction
-        assert 2 * bias < 1 << (bits - 1)
-        # a pairing of residues mod N with mu reduced mod N
-        assert f.rank * (n - 1) ** 2 < 1 << bits
-        if bits > 16:  # and no narrower field would do
-            assert max(4 * bias, f.rank * (n - 1) ** 2) >= 1 << (bits // 2)
+        # biased coordinates in [0, 2B] fit the field, and no narrower one
+        assert 2 * bias < 1 << bits
+        if bits > 8:
+            assert 2 * bias >= 1 << (bits // 2)
+        # pairings are summed in bytes, so N > 128 is refused
+        if n > MAX_CONDUCTOR:
+            with pytest.raises(CapExceeded, match=f"N = {n} "):
+                char_at_coxeter_oracle(build(t), (0,) * f.rank, cap=None)
 
     @pytest.mark.parametrize(
         "n, bias, bits", [(4, 4, 16), (36, 108, 16), (30, 150, 32), (1681, 10086, 32), (12, 24, 64)]
@@ -123,6 +149,56 @@ class TestPacking:
         reduced = lattice._reduce_fields(packed, n, bias, bits, ones)
         fields = memoryview(reduced.to_bytes(len(values) * bits // 8, sys.byteorder)).cast(fmt)
         assert list(fields) == [v % n for v in values]
+
+
+DIFFERENTIAL_TYPES = [t for t in SIMPLE_TYPES_TO_RANK_8 if build(t).weyl_order <= 10**5] + ["D7"]
+
+
+class TestByteResidues:
+    @pytest.mark.parametrize("n", [2, 4, 9, 36, 48, 49, 64, 100, 128])
+    def test_kernel_matches_bytewise_sum(self, n):
+        # up to 9 terms, so every n with room = 255 // (n - 1) < 9 folds,
+        # room = 2 (n = 128) after every term
+        rng = random.Random(n)
+        size = 300
+        for terms in range(1, 10):
+            cols = [bytes(rng.randrange(256) for _ in range(size)) for _ in range(terms)]
+            ms = [rng.choice([0, n, -n, 3 * n]) if rng.random() < 0.3 else rng.randint(-500, 500)
+                  for _ in range(terms)]
+            want = bytes(sum(m * c[p] for m, c in zip(ms, cols)) % n for p in range(size))
+            assert oracle._byte_residues(n, list(zip(ms, cols)), size) == want
+
+    @pytest.mark.parametrize("t", ["A3", "A6", "D5", "G2"])
+    @pytest.mark.parametrize("bits, fmt", [(16, "H"), (32, "I"), (64, "Q")])
+    def test_orbit_residues_do_not_depend_on_bias_or_field_width(self, monkeypatch, t, bits, fmt):
+        # any multiple of N is a bias; the largest that a wider field
+        # holds fills all 2, 4 or 8 of its byte lanes, whose multipliers
+        # 256^j mod N then matter; 8 lanes exceed room = 5 for A6 (N = 49)
+        ev = CoxeterEvaluation.for_factor(build(t).factors[0])
+        n = ev.conductor
+        args = ev.factor, ev.weight_exponents, n
+        narrow = oracle._build_signed_orbit(*args)
+        assert oracle._packing(ev.factor.rank, n, ev.weight_exponents)[1] == 8
+        bias = ((1 << (bits - 1)) - 1) // n * n
+        monkeypatch.setattr(oracle, "_packing", lambda rank, n, start: (bias, bits, fmt))
+        assert oracle._build_signed_orbit(*args) == narrow
+
+    @pytest.mark.parametrize("t", DIFFERENTIAL_TYPES)
+    def test_histogram_matches_reference(self, t):
+        rd = build(t)
+        ev = CoxeterEvaluation.for_factor(rd.factors[0])
+        n, r = ev.conductor, rd.rank
+        if t in ("A6", "A7", "D7"):
+            assert r > 255 // (n - 1)  # the kernel folds between terms
+        rng = random.Random(r * n)
+        mus = [
+            rd.rho,
+            (0,) * r,
+            tuple(n * rng.randint(-2, 2) for _ in range(r)),  # every m = 0
+            tuple((0, -1, n, -n - 3, 2 * n + 1)[i % 5] for i in range(r)),
+        ] + [tuple(rng.randint(-2 * n, 2 * n) for _ in range(r)) for _ in range(3)]
+        for mu in mus:
+            assert ev.signed_orbit_counts(mu) == reference_signed_orbit_counts(ev, mu)
 
 
 @pytest.fixture

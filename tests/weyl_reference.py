@@ -5,11 +5,15 @@ a parabolic chain and the census walks residue classes.  These helpers
 enumerate every element as an integer matrix, which is slow but plain,
 so the tests can check those walkers against a brute-force sum.  One
 simple reflection of a weight, which the library applies only inside
-``make_dominant``, is here too.
+``make_dominant``, is here too, and so is a second way to compute the
+oracle's histogram, by multiply-adds over 16-bit fields and a Counter.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from collections import Counter
 from typing import Iterator, Sequence
 
 from coxchar.errors import CapExceeded, InternalCheckError
@@ -62,6 +66,27 @@ def simple_reflection(rd: RootDatum, i: int, lam: Sequence[int]) -> Weight:
         raise ValueError(f"simple index {i} out of range 1..{rd.rank}")
     lam = rd.validate_weight(lam)
     return _reflect(rd.cartan, lam, i - 1)
+
+
+def reference_signed_orbit_counts(ev, mu: Sequence[int]) -> list[int]:
+    """``CoxeterEvaluation.signed_orbit_counts`` by r big-integer
+    multiply-adds over 16-bit fields and a ``Counter`` of the fields,
+    folded mod N.
+
+    Each coordinate's residues mod N are widened to 16-bit fields and mu
+    is reduced mod N, so a field of the sum holds at most r * (N - 1)**2
+    and never carries into the next.
+    """
+    n = ev.conductor
+    counts = [0] * n
+    for sign, cols, size in ev._signed_orbit():
+        assert len(cols) * (n - 1) ** 2 < 1 << 16
+        packed = [int.from_bytes(array("H", list(col)).tobytes(), sys.byteorder) for col in cols]
+        total = sum(m % n * p for m, p in zip(mu, packed))
+        fields = memoryview(total.to_bytes(2 * size, sys.byteorder)).cast("H")
+        for v, c in Counter(fields).items():
+            counts[v % n] += sign * c
+    return counts
 
 
 def matrix_order(m: IntMatrix, bound: int = 10_000) -> int:
