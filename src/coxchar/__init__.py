@@ -3,12 +3,14 @@
 For a simply connected complex semisimple group, the character of any
 irreducible finite-dimensional representation at the Coxeter conjugacy
 class is -1, 0 or +1.  This package computes that value two ways: a
-polynomial-time path through regularity mod the Coxeter number and
-affine alcove reduction, and an independent brute-force Weyl-sum oracle
-in exact cyclotomic arithmetic.  Supporting structures: Smith normal
-form and lattice quotients, torsion-point duality of isogenous tori,
-the principal-cocharacter identities, central characters, and the
-Frobenius-Schur classification of self-dual representations.
+fast path, one packed pass per simple factor over the positive coroots
+that yields regularity mod the Coxeter number and the parity of the
+affine walls (the alcove walk is kept only as its reference), and an
+independent brute-force Weyl-sum oracle in exact cyclotomic arithmetic.
+Supporting structures: Smith normal form and lattice quotients,
+torsion-point duality of isogenous tori, the principal-cocharacter
+identities, central characters, and the Frobenius-Schur classification
+of self-dual representations.
 """
 
 from .character import (
@@ -23,9 +25,9 @@ from .character import (
 from .cyclotomic import CyclotomicInt, cyclotomic_polynomial, divide_exact, zeta_pow
 from .errors import CapExceeded, CoxcharError, InternalCheckError, TheoremViolation
 from .lattice import FiniteAbelianGroup, IntMatrix, quotient, smith_normal_form
-from .oracle import char_at_coxeter_oracle, float_shadow, weyl_numerator
+from .oracle import char_at_coxeter_oracle
 from .rootdata import RootDatum, RootPair, build, pairing
-from .torsion import char_group_of_torsion, classify_regular_orbits, duality_report, torsion_points
+from .torsion import char_group_of_torsion, classify_regular_orbits, duality_report
 from .weyl import WeylElement, coxeter_element, duality_involution, make_dominant
 
 __version__ = "0.1.0"
@@ -53,7 +55,6 @@ __all__ = [
     "divide_exact",
     "duality_involution",
     "duality_report",
-    "float_shadow",
     "fs_indicator",
     "make_dominant",
     "pairing",
@@ -61,8 +62,6 @@ __all__ = [
     "regularity_test",
     "rho_central_character",
     "smith_normal_form",
-    "torsion_points",
     "verify_principal_cocharacter",
-    "weyl_numerator",
     "zeta_pow",
 ]

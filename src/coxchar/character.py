@@ -119,28 +119,6 @@ def _walls_or_blocking(f: SimpleFactor, mu: Sequence[int]) -> int | RootPair:
     return (sum(map(mul, mu, f.two_rho_check)) - x % ((1 << k.bits) - 1)) // h
 
 
-def _blocking_coroot(rd: RootDatum, k: int, pair: RootPair) -> BlockingCoroot:
-    embedded = RootPair(*(rd.embed(k, coords) for coords in pair))
-    return BlockingCoroot(factor=k, pair=embedded, pairing_mod_h=0)
-
-
-def regularity_test(
-    rd: RootDatum, lam: Sequence[int]
-) -> tuple[bool, Optional[BlockingCoroot]]:
-    """Is <lambda + rho, beta_vee> nonzero mod h for every positive
-    coroot beta_vee (per simple factor, with that factor's h)?
-
-    Returns the first blocking coroot as a witness when the answer is
-    no.  Rejects non-dominant or non-integral lambda.
-    """
-    lam = rd.validate_weight(lam, dominant=True)
-    for k, f in enumerate(rd.factors):
-        hit = _walls_or_blocking(f, [c + 1 for c in lam[rd.factor_slice(k)]])
-        if not isinstance(hit, int):
-            return False, _blocking_coroot(rd, k, hit)
-    return True, None
-
-
 def alcove_reduce(rd: RootDatum, mu: Sequence[int]) -> tuple[Weight, int, int]:
     """Reflect a strictly dominant, regular-mod-h weight into the open
     fundamental alcove of W x hQ, factor by factor; returns (endpoint,
@@ -213,42 +191,46 @@ def char_at_coxeter(rd: RootDatum, lam: Sequence[int]) -> CharReport:
     """Character value of the irreducible with highest weight lambda at
     the Coxeter conjugacy class; always one of -1, 0, +1.
 
-    Per factor, mu = lambda + rho is singular mod h (value 0, with the
-    first blocking coroot as witness) or crosses ``steps`` affine walls
-    on its way to rho (value (-1)**steps).  ``endpoint_is_rho`` holds by
-    construction: the build asserts that rho is the only integral point
-    of the open fundamental alcove.
+    One packed pass per factor (``_walls_or_blocking``): mu = lambda +
+    rho is singular mod h (value 0, with the first blocking coroot as
+    witness) or crosses ``steps`` affine walls on its way to rho (value
+    (-1)**steps).  The value is the product over the factors, and the
+    report's witness is that of the first singular factor.
+    ``endpoint_is_rho`` holds by construction: the build asserts that
+    rho is the only integral point of the open fundamental alcove.
     """
     lam = rd.validate_weight(lam, dominant=True)
     factors = []
+    blocking = None
+    parity = 0
     for k, f in enumerate(rd.factors):
         hit = _walls_or_blocking(f, [c + 1 for c in lam[rd.factor_slice(k)]])
         if isinstance(hit, int):
-            factors.append(FactorCharValue(
-                value=-1 if hit % 2 else 1, regular=True, sign_parity=hit % 2,
-                endpoint_is_rho=True, steps=hit, blocking_coroot=None,
-            ))
+            parity ^= hit % 2
+            factors.append(FactorCharValue(-1 if hit % 2 else 1, True, hit % 2, True, hit, None))
         else:
-            factors.append(FactorCharValue(
-                value=0, regular=False, sign_parity=None,
-                endpoint_is_rho=None, steps=None, blocking_coroot=_blocking_coroot(rd, k, hit),
-            ))
-    blocking = next((fv.blocking_coroot for fv in factors if not fv.regular), None)
-    regular = blocking is None
-    parity = sum(fv.steps for fv in factors) % 2 if regular else None
-    report = CharReport(
-        value=(-1 if parity else 1) if regular else 0,
-        regular=regular,
-        sign_parity=parity,
-        endpoint_is_rho=True if regular else None,
-        blocking_coroot=blocking,
-        factors=tuple(factors),
-    )
-    assert report.value in (-1, 0, 1)
-    assert (report.value == 0) == (not report.regular) == (report.blocking_coroot is not None)
-    if report.value != 0:
-        assert report.endpoint_is_rho is True
-    return report
+            embedded = RootPair(*(rd.embed(k, coords) for coords in hit))
+            witness = BlockingCoroot(factor=k, pair=embedded, pairing_mod_h=0)
+            if blocking is None:
+                blocking = witness
+            factors.append(FactorCharValue(0, False, None, None, None, witness))
+    if blocking is not None:
+        return CharReport(0, False, None, None, blocking, tuple(factors))
+    return CharReport(-1 if parity else 1, True, parity, True, None, tuple(factors))
+
+
+def regularity_test(
+    rd: RootDatum, lam: Sequence[int]
+) -> tuple[bool, Optional[BlockingCoroot]]:
+    """Is <lambda + rho, beta_vee> nonzero mod h for every positive
+    coroot beta_vee (per simple factor, with that factor's h)?
+
+    Returns ``(regular, blocking_coroot)`` of ``char_at_coxeter``: the
+    first blocking coroot of the first singular factor is the witness
+    when the answer is no.  Rejects non-dominant or non-integral lambda.
+    """
+    rep = char_at_coxeter(rd, lam)
+    return rep.regular, rep.blocking_coroot
 
 
 class CentralCharacter(NamedTuple):

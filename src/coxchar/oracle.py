@@ -1,11 +1,11 @@
 """Brute-force Weyl character formula at the Coxeter class, exactly.
 
-This is the independent falsifier for the fast path in ``character``.
-The evaluation point is t = exp(2 pi i rho_check / h), the canonical
-representative of the Coxeter class; a weight nu takes the value
-exp(2 pi i <nu, rho_check> / h) there, which the conductor N = h * e
-(e the exponent of the center P/Q) turns into an integer power of
-zeta_N.  Numerator and denominator are alternating sums over the full
+``char_at_coxeter_oracle``, the one entry point, is the independent
+falsifier for the fast path in ``character``.  The evaluation point is
+t = exp(2 pi i rho_check / h), the canonical representative of the
+Coxeter class; a weight nu takes the value exp(2 pi i <nu, rho_check> / h)
+there, which the conductor N = h * e (e the exponent of the center P/Q)
+turns into an integer power of zeta_N.  Numerator and denominator are alternating sums over the full
 Weyl group, accumulated exactly in ZZ[zeta_N]; the character is their
 quotient in QQ(zeta_N) and must come out as a literal -1, 0 or +1.
 Any other value raises with a full witness: the oracle can falsify the
@@ -336,19 +336,6 @@ def _check_cap(rd: RootDatum, cap: int | None) -> None:
             )
 
 
-def weyl_numerator(
-    rd: RootDatum, lam: Sequence[int], cap: int | None = DEFAULT_WEYL_CAP
-) -> CyclotomicInt:
-    """Alternating Weyl sum for lambda at the Coxeter element of a
-    simple datum, as an exact element of ZZ[zeta_N]."""
-    if not rd.is_simple:
-        raise ValueError("weyl_numerator is per simple factor; products factorize")
-    lam = rd.validate_weight(lam, dominant=True)
-    _check_cap(rd, cap)
-    exact, _ = _evaluation(rd.factors[0]).numerator(lam)
-    return exact
-
-
 def char_at_coxeter_oracle(
     rd: RootDatum, lam: Sequence[int], cap: int | None = DEFAULT_WEYL_CAP
 ) -> int:
@@ -393,21 +380,4 @@ def char_at_coxeter_oracle(
                 f"lambda={list(lam)}"
             )
         value *= q
-    return value
-
-
-def float_shadow(
-    rd: RootDatum, lam: Sequence[int], cap: int | None = DEFAULT_WEYL_CAP
-) -> complex:
-    """The same quotient of Weyl sums in double-precision complex
-    arithmetic only; a regression tripwire, not a substitute for the
-    exact value."""
-    lam = rd.validate_weight(lam, dominant=True)
-    _check_cap(rd, cap)
-    value = complex(1)
-    for k, f in enumerate(rd.factors):
-        ev = _evaluation(f)
-        _, num_shadow = ev.numerator(lam[rd.factor_slice(k)])
-        _, den_shadow = ev.denominator()
-        value *= num_shadow / den_shadow
     return value

@@ -53,18 +53,6 @@ _TABLE_LIMIT = 10**6
 _CHUNK_TRIALS = 256
 
 
-def torsion_points(rd: RootDatum, n: int) -> FiniteAbelianGroup:
-    """The coweight-side presentation P_vee / n Q_vee.
-
-    In the fundamental-coweight basis the simple coroots have coordinate
-    matrix A^T (column j is alpha_j_vee), so the quotient is ZZ^r modulo
-    the column span of n * A^T.  Its order is n^r * |P/Q|.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return quotient(rd.rank, rd.cartan.transpose().scale(n))
-
-
 def char_group_of_torsion(rd: RootDatum, n: int) -> FiniteAbelianGroup:
     """The weight-side presentation P / n Q (column span of n * A)."""
     if n < 1:

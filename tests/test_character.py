@@ -185,6 +185,22 @@ class TestRegularity:
         with pytest.raises(ValueError):
             regularity_test(build("A2"), (1, -1))
 
+    @pytest.mark.parametrize("t, lam, factor", [
+        ("A2xG2", (1, 1, 1, 1), 1),  # only the second factor is singular
+        ("A1xB2", (0, 0, 1), 1),
+        ("A2xG2", (1, 0, 2, 0), 0),  # both are: the first one's witness
+        ("A1xA1", (1, 1), 0),
+    ])
+    def test_singular_product_witness(self, t, lam, factor):
+        rd = build(t)
+        rep = char_at_coxeter(rd, lam)
+        assert not rep.factors[factor].regular
+        assert all(fv.regular for fv in rep.factors[:factor])
+        ok, witness = regularity_test(rd, lam)
+        assert not ok
+        assert witness == rep.blocking_coroot == rep.factors[factor].blocking_coroot
+        assert witness.factor == factor
+
 
 class TestAlcoveReduce:
     def test_rho_fixed(self):
@@ -301,6 +317,7 @@ class TestCharAtCoxeter:
             for lam in itertools.product(range(4), repeat=rd.rank):
                 rep = char_at_coxeter(rd, lam)
                 assert rep.value in (-1, 0, 1)
+                assert regularity_test(rd, lam) == (rep.regular, rep.blocking_coroot)
                 assert (rep.value == 0) == (not rep.regular)
                 assert (rep.blocking_coroot is not None) == (rep.value == 0)
                 if rep.value != 0:

@@ -358,6 +358,18 @@ class TestCheckAll:
                 main(argv + ["--cap", "2000000"])
             assert exc.value.code == EXIT_USAGE
 
+    def test_oracle_refusing_a_conductor_skips_only_its_check(self, capsys):
+        # A11 is under the Weyl cap, but its conductor N = 144 is over 128:
+        # the oracle refuses it, and the battery goes on without that check
+        code, doc, _ = run_json(
+            capsys, "check-all", "A1", "A11", "--weyl-cap", "1000000000", "--max-coord", "0"
+        )
+        assert code == EXIT_OK
+        a1, a11 = doc["results"]
+        assert a1["oracle_agreement_ok"] is True
+        assert "oracle_agreement_ok" not in a11
+        assert a11["passed"] is True and doc["all_passed"] is True
+
     def test_large_simple_types_get_the_census(self, capsys):
         code, doc, _ = run_json(capsys, "check-all", "E6", "E7", "E8", "A16", "--max-coord", "0")
         assert code == EXIT_OK
@@ -379,6 +391,7 @@ SCHEMA_CASES = [
     ("torsion", ["torsion", "F4", "12"]),
     ("check_all", ["check-all"]),
     ("check_all", ["check-all", "E8", "--max-coord", "0"]),
+    ("check_all", ["check-all", "A1", "A11", "--weyl-cap", "1000000000", "--max-coord", "0"]),
 ]
 
 

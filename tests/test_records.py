@@ -6,8 +6,8 @@ neither ``dataclasses`` nor its per-class code generation.  These tests
 pin what that choice could change without any output changing:
 immutability, equality and hashing, row iteration, truth values and
 arithmetic that must not fall through to tuple operations.  They also
-pin the import set of a cold start and the names the benchmark's tracer
-rebinds.
+pin the import set of a cold start, the names the benchmark's tracer
+rebinds, and the package's public surface.
 """
 
 import importlib
@@ -20,6 +20,7 @@ import sys
 
 import pytest
 
+import coxchar
 from coxchar import character, cyclotomic, lattice, oracle, rootdata, torsion, weyl
 from coxchar.cyclotomic import CyclotomicInt, divide_exact
 from coxchar.lattice import IntMatrix
@@ -161,3 +162,46 @@ def test_every_tracing_target_resolves_to_a_callable(name, target):
     if isinstance(raw, classmethod):
         raw = raw.__func__
     assert callable(raw), f"{name}: {modname}.{path} is {raw!r}"
+
+
+# Adding or removing an export is a contract change: it edits this list.
+PUBLIC_SURFACE = [
+    "CapExceeded",
+    "CharReport",
+    "CoxcharError",
+    "CyclotomicInt",
+    "FiniteAbelianGroup",
+    "IntMatrix",
+    "InternalCheckError",
+    "RootDatum",
+    "RootPair",
+    "TheoremViolation",
+    "WeylElement",
+    "build",
+    "char_at_coxeter",
+    "char_at_coxeter_oracle",
+    "char_group_of_torsion",
+    "classify_regular_orbits",
+    "coxeter_element",
+    "coxeter_lift_order",
+    "cyclotomic_polynomial",
+    "divide_exact",
+    "duality_involution",
+    "duality_report",
+    "fs_indicator",
+    "make_dominant",
+    "pairing",
+    "quotient",
+    "regularity_test",
+    "rho_central_character",
+    "smith_normal_form",
+    "verify_principal_cocharacter",
+    "zeta_pow",
+]
+
+
+def test_public_surface_is_pinned():
+    assert PUBLIC_SURFACE == sorted(PUBLIC_SURFACE)
+    assert coxchar.__all__ == PUBLIC_SURFACE
+    for name in coxchar.__all__:
+        assert getattr(coxchar, name, None) is not None, name

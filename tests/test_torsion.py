@@ -17,10 +17,16 @@ from coxchar.torsion import (
     char_group_of_torsion,
     classify_regular_orbits,
     duality_report,
-    torsion_points,
 )
 from coxchar.weyl import _reflect
 from weyl_reference import enumerate_weyl
+
+
+def torsion_points(rd, n):
+    """The coweight-side presentation P_vee / n Q_vee, built independently
+    of ``duality_report``: in the fundamental-coweight basis the simple
+    coroots are the columns of A^T, so it is ZZ^r modulo n * A^T."""
+    return quotient(rd.rank, rd.cartan.transpose().scale(n))
 
 
 class TestPresentations:
@@ -51,7 +57,7 @@ class TestPresentations:
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            torsion_points(build("A1"), 0)
+            char_group_of_torsion(build("A1"), 0)
 
 
 class TestDualityReport:
@@ -423,7 +429,7 @@ class TestRegularityIsWeylInvariant:
 def reference_duality_report(rd, n, trials=1000, seed=0, reflect=_reflect):
     """One trial at a time on weight-coordinate tuples, each projected by
     ``FiniteAbelianGroup.project``."""
-    tp = torsion.torsion_points(rd, n)
+    tp = torsion_points(rd, n)
     cg = torsion.char_group_of_torsion(rd, n)
     rng = random.Random(seed)
     witness = None
