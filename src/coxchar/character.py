@@ -15,15 +15,15 @@ against; the fast path never takes it.
 The pass is packed: each factor holds, per simple-coroot coordinate i,
 one big integer with a field per positive coroot in table order
 (``rootdata.PackedCoroots``).  sum_i (mu_i mod h) * column_i puts
-<mu mod h, beta_vee> in every field at once; ``lattice._reduce_fields``,
-the kernel the torsion duality check shares, reduces them mod h.  A field
-is the least whole number of bytes whose top bit lies above the
-reduction's range, 2 * bias with bias the least multiple of h at least
-(h - 1)^2 / 2 (the largest pairing), and that holds the sum of all the
-residues: 8 bits up to D4, 16 for E8, 24 for A60.  The lowest zero
-field is the witness.  None of this enumerates the Weyl group, and its
-cost does not grow with lambda: an E8 weight is r big-integer
-multiply-adds and a few masked subtractions, not 120 interpreted steps.
+<mu mod h, beta_vee> in every field at once, and
+``rootdata._reduce_fields`` reduces them mod h.  A field is the least
+whole number of bytes whose top bit lies above the reduction's range,
+2 * bias with bias the least multiple of h at least (h - 1)^2 / 2 (the
+largest pairing), and that holds the sum of all the residues: 8 bits up
+to D4, 16 for E8, 24 for A60.  The lowest zero field is the witness.
+None of this enumerates the Weyl group, and its cost does not grow with
+lambda: an E8 weight is r big-integer multiply-adds and a few masked
+subtractions, not 120 interpreted steps.
 
 Also here: the central character of rho, the order of the canonical
 Coxeter lift in the simply connected cover of the dual adjoint group,
@@ -37,8 +37,8 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalCheckError, TheoremViolation
-from .lattice import FiniteAbelianGroup, _reduce_fields
-from .rootdata import RootDatum, RootPair, SimpleFactor, Weight
+from .lattice import FiniteAbelianGroup
+from .rootdata import RootDatum, RootPair, SimpleFactor, Weight, _reduce_fields
 from .weyl import duality_involution
 
 

@@ -45,16 +45,6 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _parse_lambda(rd, values: list[int]) -> tuple[int, ...]:
-    if len(values) != rd.rank:
-        raise ValueError(
-            f"{rd.type_string} has rank {rd.rank}, got {len(values)} coordinates"
-        )
-    if any(v < 0 for v in values):
-        raise ValueError("highest-weight coordinates must be >= 0")
-    return tuple(values)
-
-
 def cmd_info(args) -> int:
     rd = build(args.type)
     payload = {
@@ -74,8 +64,8 @@ def cmd_info(args) -> int:
 
 def cmd_char(args) -> int:
     rd = build(args.type)
-    lam = _parse_lambda(rd, args.coords)
-    report = char_at_coxeter(rd, lam)
+    lam = tuple(args.coords)
+    report = char_at_coxeter(rd, lam)  # refuses a wrong rank or a negative coordinate
     payload = {
         "type": rd.type_string,
         "lambda": list(lam),
@@ -95,13 +85,14 @@ def cmd_char(args) -> int:
 
 def cmd_fs(args) -> int:
     rd = build(args.type)
-    lam = _parse_lambda(rd, args.coords)
+    lam = tuple(args.coords)
+    fs = fs_indicator(rd, lam)  # refuses a wrong rank or a negative coordinate
     dual = duality_involution(rd, lam)
     _emit(
         {
             "type": rd.type_string,
             "lambda": list(lam),
-            "fs_indicator": fs_indicator(rd, lam),
+            "fs_indicator": fs,
             "self_dual": dual == lam,
             "dual_highest_weight": list(dual),
         }

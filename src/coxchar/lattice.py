@@ -7,20 +7,13 @@ finite quotient of ZZ^r by a full-rank sublattice as a finite abelian
 group in invariant-factor form together with an explicit projection map
 (and a section), the engine behind every lattice quotient in the package
 (center of the group, torsion points of tori, character groups).
-``FiniteAbelianGroup.project_packed`` projects many vectors at once, each
-coordinate packed into one big integer with a field per vector; its
-in-place field reduction ``_reduce_fields`` also reduces the fast
-path's packed coroot pairings.
 """
 
 from __future__ import annotations
 
-import sys
 from math import prod
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
-
-from .errors import InternalCheckError
 
 
 class IntMatrix(tuple):
@@ -213,47 +206,6 @@ def apply_mod(
     return tuple(sum(map(mul, row, v)) % d for row, d in zip(rows, moduli))
 
 
-def _ones(size: int, width: int) -> int:
-    """1 in each of `size` packed fields of `width` bytes."""
-    return int.from_bytes((1).to_bytes(width, sys.byteorder) * size, sys.byteorder)
-
-
-def _pack(values: Sequence[int], low: int, width: int, ones: int) -> int:
-    """Values v_t >= low as one integer sum_t v_t * 2^(8 * width * t),
-    with ``ones`` the 1 in each of its fields of `width` bytes."""
-    fields = b"".join([(v - low).to_bytes(width, sys.byteorder) for v in values])
-    return int.from_bytes(fields, sys.byteorder) + low * ones
-
-
-def _reduce_fields(x: int, n: int, bias: int, bits: int, ones: int) -> int:
-    """Every packed field of x, a value in [0, 2 * bias] below its top
-    bit, reduced mod n (n divides bias) without unpacking.
-
-    Subtracts t = n * 2^s from the fields that hold at least t, for s
-    down to 0; a field holds at least t exactly when adding 2^(bits-1) - t
-    sets its top bit, which cannot carry into the next field.
-    """
-    top = bits - 1
-    for s in reversed(range((2 * bias // n).bit_length())):
-        t = n << s
-        x -= t * (((x + ((1 << top) - t) * ones) >> top) & ones)
-    return x
-
-
-def _fields_within(x: int, hi: int, bits: int, ones: int) -> bool:
-    """Whether x is as many packed fields of `bits` bits as ``ones`` has,
-    each in [0, hi], with hi below the top bit.
-
-    A field at or above the top bit shows in x; one in (hi, 2^(bits-1))
-    sets its top bit once 2^(bits-1) - 1 - hi is added, which cannot
-    carry out of a field below the top bit.
-    """
-    top = bits - 1
-    if not 0 <= x < 1 << (ones.bit_length() + top):
-        return False
-    return not ((x | (x + ((1 << top) - 1 - hi) * ones)) >> top) & ones
-
-
 class FiniteAbelianGroup(NamedTuple):
     """A quotient ZZ^rank / L in invariant-factor form, with maps.
 
@@ -286,43 +238,6 @@ class FiniteAbelianGroup(NamedTuple):
         if len(v) != self.ambient_rank:
             raise ValueError("vector length mismatch")
         return apply_mod(self.u_rows, self.invariant_factors, v)
-
-    def _biases(self, bound: int) -> list[int]:
-        """Per invariant factor d, the least multiple of d that is at least
-        |row . v| for every v with all |v_k| <= bound."""
-        return [
-            -(-bound * sum(map(abs, row)) // d) * d
-            for row, d in zip(self.u_rows, self.invariant_factors)
-        ]
-
-    def packed_bits(self, bound: int) -> int:
-        """The field width, in bits and whole bytes, that ``project_packed``
-        needs for vectors with all |v_k| <= bound: [0, 2B] below the top bit."""
-        need = (2 * max(self._biases(bound), default=0)).bit_length() + 1
-        return -(-need // 8) * 8
-
-    def project_packed(
-        self, cols: Sequence[int], bound: int, bits: int, ones: int
-    ) -> list[int]:
-        """``project`` of many vectors at once, packed.
-
-        cols[k] holds coordinate k of every vector, one field of ``bits``
-        bits each: sum_t v_t * 2^(bits * t), with all |v_t| <= bound and
-        ``ones`` the 1 in each field.  Each invariant factor d gets one
-        packed dot product with its row of U, biased by B (``_biases``)
-        into [0, 2B] and reduced mod d in place; the result holds the
-        residues, one integer per factor, in the same fields.  A field
-        outside [0, 2B] by less than 2^(bits-1) raises InternalCheckError.
-        """
-        out = []
-        for row, d, b in zip(self.u_rows, self.invariant_factors, self._biases(bound)):
-            x = sum(map(mul, row, cols)) + b * ones
-            if not _fields_within(x, 2 * b, bits, ones):
-                raise InternalCheckError(
-                    f"packed projection mod {d} left its fields (bound {bound}, {bits} bits)"
-                )
-            out.append(_reduce_fields(x, d, b, bits, ones))
-        return out
 
     def section(self, residues: Sequence[int]) -> tuple[int, ...]:
         """An ambient vector mapping onto the given residue tuple.

@@ -44,8 +44,8 @@ from typing import Iterable, Sequence
 
 from .cyclotomic import CyclotomicInt, divide_exact
 from .errors import CapExceeded, InternalCheckError, TheoremViolation
-from .lattice import IntMatrix, _ones
-from .rootdata import RootDatum, SimpleFactor
+from .lattice import IntMatrix
+from .rootdata import RootDatum, SimpleFactor, _ones
 
 DEFAULT_WEYL_CAP = 5_000_000
 FLOAT_SHADOW_TOLERANCE = 1e-6

@@ -18,12 +18,13 @@ Product types concatenate blocks along the diagonal; per-factor data
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from math import prod
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .lattice import FiniteAbelianGroup, IntMatrix, _ones, _pack, quotient
+from .lattice import FiniteAbelianGroup, IntMatrix, quotient
 
 Weight = tuple[int, ...]
 
@@ -162,6 +163,33 @@ def _positive_roots(a: list[list[int]]) -> list[RootPair]:
     return sorted(roots, key=lambda p: (p.height, p.simple_coords))
 
 
+def _ones(size: int, width: int) -> int:
+    """1 in each of `size` packed fields of `width` bytes."""
+    return int.from_bytes((1).to_bytes(width, sys.byteorder) * size, sys.byteorder)
+
+
+def _pack(values: Sequence[int], low: int, width: int, ones: int) -> int:
+    """Values v_t >= low as one integer sum_t v_t * 2^(8 * width * t),
+    with ``ones`` the 1 in each of its fields of `width` bytes."""
+    fields = b"".join([(v - low).to_bytes(width, sys.byteorder) for v in values])
+    return int.from_bytes(fields, sys.byteorder) + low * ones
+
+
+def _reduce_fields(x: int, n: int, bias: int, bits: int, ones: int) -> int:
+    """Every packed field of x, a value in [0, 2 * bias] below its top
+    bit, reduced mod n (n divides bias) without unpacking.
+
+    Subtracts t = n * 2^s from the fields that hold at least t, for s
+    down to 0; a field holds at least t exactly when adding 2^(bits-1) - t
+    sets its top bit, which cannot carry into the next field.
+    """
+    top = bits - 1
+    for s in reversed(range((2 * bias // n).bit_length())):
+        t = n << s
+        x -= t * (((x + ((1 << top) - t) * ones) >> top) & ones)
+    return x
+
+
 class PackedCoroots(NamedTuple):
     """The positive coroots of a factor as packed fields, one per coroot
     in table order: ``columns[i]`` = sum_t c_i(beta_t) * 2^(bits * t),
@@ -170,7 +198,7 @@ class PackedCoroots(NamedTuple):
     For 0 <= m_i < h, sum_i m_i * columns[i] holds <m, beta_t_vee> in
     field t.  That is at most (h - 1)^2, since no coroot is higher than
     h - 1, and ``bias`` is the least multiple of h with 2 * bias at least
-    that, so ``lattice._reduce_fields`` reduces every field mod h.
+    that, so ``_reduce_fields`` reduces every field mod h.
     ``bits`` is the least whole number of bytes with 2 * bias below the
     top bit of a field and |Phi+| * (h - 1), the largest residue sum,
     below 2^bits - 1.

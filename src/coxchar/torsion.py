@@ -27,30 +27,24 @@ is well defined for every x and m exactly when those r(r + 1) vectors
 project to zero; with one Smith form (of n*A) that is the whole cost.
 The coweight side needs no second Smith form: the invariant factors of
 n*A^T are n times those of A, read off the center P/Q.  Only a failed
-certificate draws random trials, in chunks packed as big-integer
-fields (the packed-residue kernel of ``lattice``, shared with the
-oracle), to name the earliest failing trial as the witness.
+certificate draws random trials, one at a time, to name the earliest
+failing trial as the witness.
 """
 
 from __future__ import annotations
 
 import random
-from functools import partial, reduce
 from math import gcd
-from operator import mul, or_, xor
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded
-from .lattice import FiniteAbelianGroup, _ones, _pack, quotient
+from .lattice import FiniteAbelianGroup, quotient
 from .rootdata import RootDatum, pairing
 from .weyl import _reflect
 
 # classify_regular_orbits keeps n table entries per factor and makes
 # rank * n additions; it refuses above this
 _TABLE_LIMIT = 10**6
-
-# trials that duality_report draws and checks together
-_CHUNK_TRIALS = 256
 
 
 def char_group_of_torsion(rd: RootDatum, n: int) -> FiniteAbelianGroup:
@@ -104,12 +98,12 @@ def duality_report(
     s_j(n*alpha_i)), and every trial passes exactly when all are zero.
 
     ``trials`` and ``seed`` only name the witness after a failed
-    certificate (``_first_failure``): the earliest failing trial drawn
-    from ``random.Random(seed)`` as x and then m, with reflection None
-    when x and x2 already differ and otherwise the first simple
-    reflection (1-based) that separates them.  It is None when the trials
-    miss, and ``action_well_defined`` stays False.  Raises ValueError for
-    n < 1 or trials < 1; there is no bound on n.
+    certificate: ``_first_failure`` runs the trials one at a time from
+    ``random.Random(seed)`` and returns the earliest failing one, with
+    reflection None when x and x2 already differ and otherwise the first
+    simple reflection (1-based) that separates them.  It is None when the
+    trials miss, and ``action_well_defined`` stays False.  Raises
+    ValueError for n < 1 or trials < 1; there is no bound on n.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -141,50 +135,23 @@ def _first_failure(
     """The witness of the first trial of ``duality_report`` whose classes
     differ, or None; run only after a failed certificate.
 
-    A chunk of trials is drawn in trial order, and coordinate k of x (of
-    m) over the chunk becomes one integer with a field per trial, so x2
-    is r packed multiply-adds and each simple reflection (``_reflect``,
-    linear, so it takes packed columns as coordinates) is r more.  x,
-    x2, s_j(x) and s_j(x2) are each projected as actual weight vectors
-    (``FiniteAbelianGroup.project_packed``), never as differences, and
-    their packed residues are compared by XOR: the lowest set bit of the
-    OR of all the comparisons is in the field of the first failing trial.
-    Every coordinate is at most ``bound`` in absolute value (|x_k| <= 3n,
-    |m_k| <= 2, and a reflection adds at most max |A[k][j]| times another
-    coordinate), which fixes the field width.
+    Each trial draws x (|x_k| <= 3n) and then m (|m_k| <= 2), sets
+    x2 = x + n*A*m, and projects x and x2, then s_j(x) and s_j(x2) for
+    each simple reflection, as actual weight vectors.
     """
     r = rd.rank
     cartan = rd.cartan
-    reach = 3 * n + 2 * n * max(sum(map(abs, row)) for row in cartan)
-    off_diagonal = (abs(cartan[k][j]) for k in range(r) for j in range(r) if k != j)
-    bound = reach * (1 + max(off_diagonal, default=0))
-    bits = group.packed_bits(bound)
-    width = bits // 8
-    spans = [(-3 * n, 3 * n + 1)] * r + [(-2, 3)] * r
+    project = group.project
     randrange = random.Random(seed).randrange
-    for done in range(0, trials, _CHUNK_TRIALS):
-        size = min(_CHUNK_TRIALS, trials - done)
-        draws = [randrange(lo, hi) for _ in range(size) for lo, hi in spans]
-        ones = _ones(size, width)
-        cols = [_pack(draws[k :: 2 * r], lo, width, ones) for k, (lo, _) in enumerate(spans)]
-        x, m = cols[:r], cols[r:]
-        x2 = [c + n * sum(map(mul, row, m)) for c, row in zip(x, cartan)]
-        pairs = [(x, x2)] + [(_reflect(cartan, x, j), _reflect(cartan, x2, j)) for j in range(r)]
-        project = partial(group.project_packed, bound=bound, bits=bits, ones=ones)
-        # per check, the fields of the trials where some residue differs
-        mismatches = [reduce(or_, map(xor, project(u), project(v)), 0) for u, v in pairs]
-        failed = reduce(or_, mismatches)
-        if failed:
-            t = ((failed & -failed).bit_length() - 1) // bits
-            field = ((1 << bits) - 1) << (bits * t)
-            check = next(i for i, diff in enumerate(mismatches) if diff & field)
-            trial = draws[2 * r * t : 2 * r * (t + 1)]
-            xt, shift = trial[:r], cartan.apply(trial[r:])
-            return {
-                "x": xt,
-                "x2": [a + n * b for a, b in zip(xt, shift)],
-                "reflection": check or None,
-            }
+    for _ in range(trials):
+        x = [randrange(-3 * n, 3 * n + 1) for _ in range(r)]
+        m = [randrange(-2, 3) for _ in range(r)]
+        x2 = [a + n * b for a, b in zip(x, cartan.apply(m))]
+        if project(x) != project(x2):
+            return {"x": x, "x2": x2, "reflection": None}
+        for j in range(r):
+            if project(_reflect(cartan, x, j)) != project(_reflect(cartan, x2, j)):
+                return {"x": x, "x2": x2, "reflection": j + 1}
     return None
 
 

@@ -140,6 +140,13 @@ class TestFs:
         assert doc["fs_indicator"] == 0
         assert doc["dual_highest_weight"] == [0, 1]
 
+    @pytest.mark.parametrize("coords", [["1"], ["1", "-1"]])
+    def test_bad_weight_exit_2(self, capsys, coords):
+        # a wrong rank or a negative coordinate
+        code, out, _ = run(capsys, "fs", "A2", *coords)
+        assert code == EXIT_USAGE
+        assert out == ""
+
 
 class TestTable:
     def test_a1_cycle_json(self, capsys):

@@ -1,5 +1,4 @@
 import itertools
-import random
 from fractions import Fraction
 from math import gcd, prod
 
@@ -7,8 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from coxchar.errors import InternalCheckError
-from coxchar.lattice import IntMatrix, _ones, quotient, smith_normal_form
+from coxchar.lattice import IntMatrix, quotient, smith_normal_form
 from coxchar.rootdata import build
 
 
@@ -236,41 +234,3 @@ def test_section_map_is_the_exact_inverse(t):
             g = quotient(rd.rank, basis)
             units = [[int(i == j) for j in range(len(kept))] for i in range(len(kept))]
             assert [g.section(e) for e in units] == kept, n
-
-
-def pack(values, bits):
-    return sum(v << (bits * t) for t, v in enumerate(values))
-
-
-def unpack(x, bits, size):
-    return [(x >> (bits * t)) & ((1 << bits) - 1) for t in range(size)]
-
-
-class TestProjectPacked:
-    @pytest.mark.parametrize("t,n", [("A1", 5), ("A3", 4), ("B3", 6), ("G2", 7), ("D4", 2), ("A1xA2", 3)])
-    def test_matches_project(self, t, n):
-        rd = build(t)
-        g = quotient(rd.rank, rd.cartan.scale(n))
-        rng = random.Random(n)
-        bound = 40 * n
-        vectors = [[rng.randint(-bound, bound) for _ in range(rd.rank)] for _ in range(37)]
-        vectors += [[bound] * rd.rank, [-bound] * rd.rank]
-        bits = g.packed_bits(bound)
-        assert bits % 8 == 0
-        ones = _ones(len(vectors), bits // 8)
-        cols = [pack(col, bits) for col in zip(*vectors)]
-        packed = g.project_packed(cols, bound, bits, ones)
-        assert list(zip(*(unpack(x, bits, len(vectors)) for x in packed))) == [
-            g.project(v) for v in vectors
-        ]
-
-    @pytest.mark.parametrize("values", [[1, 13, 2], [1, 2, 100], [-13, 0, 0], [0, 0, -300]])
-    def test_field_out_of_range_raises(self, values):
-        # bound 10 on Z/6 x Z/6 gives B = 12: a value outside [-12, 12] leaves [0, 2B]
-        g = quotient(2, mat([[6, 0], [0, 6]]))
-        bits = g.packed_bits(10)
-        ones = _ones(3, bits // 8)
-        cols = [pack(values, bits), pack([0, 0, 0], bits)]
-        with pytest.raises(InternalCheckError, match="left its fields"):
-            g.project_packed(cols, 10, bits, ones)
-

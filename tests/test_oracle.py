@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coxchar import lattice, oracle
+from coxchar import oracle, rootdata
 from coxchar.character import char_at_coxeter
 from coxchar.cyclotomic import zeta_pow
 from coxchar.errors import CapExceeded, InternalCheckError, TheoremViolation
@@ -136,8 +136,8 @@ class TestPacking:
         fmt = {16: "H", 32: "I", 64: "Q"}[bits]
         values = list(range(2 * bias + 1))
         packed = int.from_bytes(struct.pack(f"{len(values)}{fmt}", *values), sys.byteorder)
-        ones = lattice._ones(len(values), bits // 8)
-        reduced = lattice._reduce_fields(packed, n, bias, bits, ones)
+        ones = rootdata._ones(len(values), bits // 8)
+        reduced = rootdata._reduce_fields(packed, n, bias, bits, ones)
         fields = memoryview(reduced.to_bytes(len(values) * bits // 8, sys.byteorder)).cast(fmt)
         assert list(fields) == [v % n for v in values]
 

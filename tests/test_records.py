@@ -142,16 +142,17 @@ def test_cold_start_loads_no_dataclasses_inspect_or_fractions():
     assert loaded & {"dataclasses", "inspect", "fractions"} == set()
 
 
-def _tracing_targets() -> dict:
+def _perfbench(name: str):
+    """A module of the benchmark harness, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py")
+        f"perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py")
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
-@pytest.mark.parametrize("name,target", sorted(_tracing_targets().items()))
+@pytest.mark.parametrize("name,target", sorted(_perfbench("tracing").TARGETS.items()))
 def test_every_tracing_target_resolves_to_a_callable(name, target):
     # resolved as the tracer does: the attribute must sit on its owner
     modname, path = target
@@ -162,6 +163,24 @@ def test_every_tracing_target_resolves_to_a_callable(name, target):
     if isinstance(raw, classmethod):
         raw = raw.__func__
     assert callable(raw), f"{name}: {modname}.{path} is {raw!r}"
+
+
+# ops of the seed-7 list that each workload runs here: all of the two
+# that take well under a second, the first 50 of the other two
+BENCHMARK_OPS = {"table-small": 50, "char-large": None, "verify-oracle": 50, "torsion-census": None}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_OPS))
+def test_benchmark_ops_run_and_pass_their_checks(name):
+    # the benchmark calls the library through the worker's runners and
+    # judges the outputs with its own checks: a call it makes that no
+    # longer fits the library fails here, not only in a benchmark run
+    worker, workloads = _perfbench("worker"), _perfbench("workloads")
+    info = {t: workloads.TypeInfo(t, build) for t in workloads.workload_types(name)}
+    rds = {t: build(t) for t in info}
+    for op in workloads.generate(name, 7, info)[: BENCHMARK_OPS[name]]:
+        res = worker.OPS[name](coxchar, rds, op)()
+        assert workloads.check(name, op, res, info) is None, op
 
 
 # Adding or removing an export is a contract change: it edits this list.
