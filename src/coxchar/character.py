@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalCheckError, TheoremViolation
 from .lattice import FiniteAbelianGroup
-from .rootdata import RootDatum, RootPair, SimpleFactor, Weight, _reduce_fields
+from .rootdata import RootDatum, RootPair, SimpleFactor, Weight, _json_fields, _reduce_fields
 from .weyl import duality_involution
 
 
@@ -50,13 +50,7 @@ class BlockingCoroot(NamedTuple):
     pairing_mod_h: int
 
     def as_dict(self) -> dict:
-        return {
-            "factor": self.factor,
-            "root": list(self.pair.root),
-            "simple_coords": list(self.pair.simple_coords),
-            "coroot": list(self.pair.coroot),
-            "pairing_mod_h": self.pairing_mod_h,
-        }
+        return _json_fields(self.pair, factor=self.factor, pairing_mod_h=self.pairing_mod_h)
 
 
 class FactorCharValue(NamedTuple):
@@ -244,7 +238,7 @@ class CentralCharacter(NamedTuple):
         return self.order == 1
 
     def as_dict(self) -> dict:
-        return {"values": list(self.values), "order": self.order}
+        return _json_fields(self)
 
 
 def _rho_on_center(center: FiniteAbelianGroup, rho: Weight, name: str) -> tuple[int, ...]:
@@ -279,12 +273,7 @@ class LiftOrderReport(NamedTuple):
     matches_h: bool
 
     def as_dict(self) -> dict:
-        return {
-            "factor": self.factor,
-            "coxeter_number": self.coxeter_number,
-            "lift_order": self.lift_order,
-            "matches_h": self.matches_h,
-        }
+        return _json_fields(self)
 
 
 def coxeter_lift_order(rd: RootDatum) -> tuple[LiftOrderReport, ...]:
@@ -331,7 +320,12 @@ def fs_indicator(rd: RootDatum, lam: Sequence[int]) -> int:
     orthogonal (+1) from symplectic (-1).
     """
     lam = rd.validate_weight(lam, dominant=True)
-    if duality_involution(rd, lam) != lam:
+    return _fs_sign(rd, lam, duality_involution(rd, lam))
+
+
+def _fs_sign(rd: RootDatum, lam: Weight, dual: Weight) -> int:
+    """The indicator of the dominant lam whose dual highest weight is dual."""
+    if dual != lam:
         return 0
     total = 0
     for k, f in enumerate(rd.factors):
@@ -352,15 +346,7 @@ class PrincipalCocharacterReport(NamedTuple):
         return self.rho_pairings_all_one and self.adjoint_order_is_h and self.regular
 
     def as_dict(self) -> dict:
-        return {
-            "factor": self.factor,
-            "coxeter_number": self.coxeter_number,
-            "rho_pairings_all_one": self.rho_pairings_all_one,
-            "adjoint_order": self.adjoint_order,
-            "adjoint_order_is_h": self.adjoint_order_is_h,
-            "regular": self.regular,
-            "passed": self.passed,
-        }
+        return _json_fields(self, passed=self.passed)
 
 
 def verify_principal_cocharacter(rd: RootDatum) -> tuple[PrincipalCocharacterReport, ...]:

@@ -20,6 +20,7 @@ from itertools import product as iproduct
 
 from . import __version__
 from .character import (
+    _fs_sign,
     char_at_coxeter,
     coxeter_lift_order,
     fs_indicator,
@@ -85,14 +86,13 @@ def cmd_char(args) -> int:
 
 def cmd_fs(args) -> int:
     rd = build(args.type)
-    lam = tuple(args.coords)
-    fs = fs_indicator(rd, lam)  # refuses a wrong rank or a negative coordinate
+    lam = rd.validate_weight(args.coords, dominant=True)  # refused before any walk
     dual = duality_involution(rd, lam)
     _emit(
         {
             "type": rd.type_string,
             "lambda": list(lam),
-            "fs_indicator": fs,
+            "fs_indicator": _fs_sign(rd, lam, dual),
             "self_dual": dual == lam,
             "dual_highest_weight": list(dual),
         }
@@ -211,7 +211,7 @@ def cmd_check_all(args) -> int:
                     orbits.regular_orbits_with_image_order_n == 1
                     and orbits.rho_in_distinguished_orbit
                 )
-            dual = duality_report(rd, 2, trials=100, seed=args.seed)
+            dual = duality_report(rd, 2, trials=100)
             entry["torsion_duality_ok"] = dual.passed
             box = _iter_box(rd.rank, args.max_coord)
             try:
@@ -289,7 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-all", help="verification battery over a list of types")
     p.add_argument("types", nargs="*", help=f"default: {' '.join(DEFAULT_BATTERY)}")
     p.add_argument("--max-coord", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--weyl-cap", type=int, default=DEFAULT_WEYL_CAP)
     p.set_defaults(func=cmd_check_all)
 

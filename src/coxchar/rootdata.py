@@ -106,6 +106,16 @@ def _cartan(family: str, rank: int) -> list[list[int]]:
     return a
 
 
+def _json_fields(rec: tuple, **extra) -> dict:
+    """The JSON form of a record: its fields, with tuples as lists and
+    ``type_string`` as ``type``, then the ``extra`` keys."""
+    out = {
+        "type" if k == "type_string" else k: list(v) if isinstance(v, tuple) else v
+        for k, v in rec._asdict().items()
+    }
+    return {**out, **extra}
+
+
 class RootPair(NamedTuple):
     """A positive root with its coroot.
 
@@ -168,11 +178,10 @@ def _ones(size: int, width: int) -> int:
     return int.from_bytes((1).to_bytes(width, sys.byteorder) * size, sys.byteorder)
 
 
-def _pack(values: Sequence[int], low: int, width: int, ones: int) -> int:
-    """Values v_t >= low as one integer sum_t v_t * 2^(8 * width * t),
-    with ``ones`` the 1 in each of its fields of `width` bytes."""
-    fields = b"".join([(v - low).to_bytes(width, sys.byteorder) for v in values])
-    return int.from_bytes(fields, sys.byteorder) + low * ones
+def _pack(values: Sequence[int], width: int) -> int:
+    """Values v_t >= 0 as one integer sum_t v_t * 2^(8 * width * t)."""
+    fields = b"".join([v.to_bytes(width, sys.byteorder) for v in values])
+    return int.from_bytes(fields, sys.byteorder)
 
 
 def _reduce_fields(x: int, n: int, bias: int, bits: int, ones: int) -> int:
@@ -219,7 +228,7 @@ def _pack_coroots(positive: Sequence[RootPair], rank: int, h: int) -> PackedCoro
         width += 1
     bits = 8 * width
     ones = _ones(len(positive), width)
-    columns = tuple(_pack([p.coroot[i] for p in positive], 0, width, ones) for i in range(rank))
+    columns = tuple(_pack([p.coroot[i] for p in positive], width) for i in range(rank))
     return PackedCoroots(columns, bits, bias, ones, ones << (bits - 1))
 
 

@@ -39,7 +39,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded
 from .lattice import FiniteAbelianGroup, quotient
-from .rootdata import RootDatum, pairing
+from .rootdata import RootDatum, _json_fields, pairing
 from .weyl import _reflect
 
 # classify_regular_orbits keeps n table entries per factor and makes
@@ -69,17 +69,7 @@ class DualityReport(NamedTuple):
         return self.isomorphic and self.action_well_defined
 
     def as_dict(self) -> dict:
-        return {
-            "type": self.type_string,
-            "n": self.n,
-            "invariant_factors_coweight_side": list(self.invariant_factors_coweight_side),
-            "invariant_factors_weight_side": list(self.invariant_factors_weight_side),
-            "isomorphic": self.isomorphic,
-            "action_well_defined": self.action_well_defined,
-            "trials": self.trials,
-            "witness": self.witness,
-            "passed": self.passed,
-        }
+        return _json_fields(self, passed=self.passed)
 
 
 def duality_report(
@@ -165,15 +155,7 @@ class OrbitReport(NamedTuple):
     rho_in_distinguished_orbit: bool
 
     def as_dict(self) -> dict:
-        return {
-            "type": self.type_string,
-            "n": self.n,
-            "total_classes": self.total_classes,
-            "regular_classes": self.regular_classes,
-            "regular_orbits": self.regular_orbits,
-            "regular_orbits_with_image_order_n": self.regular_orbits_with_image_order_n,
-            "rho_in_distinguished_orbit": self.rho_in_distinguished_orbit,
-        }
+        return _json_fields(self)
 
 
 def _moebius_divisors(n: int) -> list[tuple[int, int]]:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from coxchar import weyl
 from coxchar.cli import EXIT_CAP, EXIT_DIAGNOSTIC, EXIT_OK, EXIT_USAGE, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -146,6 +147,21 @@ class TestFs:
         code, out, _ = run(capsys, "fs", "A2", *coords)
         assert code == EXIT_USAGE
         assert out == ""
+
+    def test_dual_is_walked_once(self, capsys, monkeypatch):
+        # the indicator is read from the one dual that the output prints
+        calls = []
+        walk = weyl.make_dominant
+        monkeypatch.setattr(weyl, "make_dominant", lambda *a: calls.append(a) or walk(*a))
+        code, out, _ = run(capsys, "fs", "E8", *"1 0 0 0 0 0 0 1".split())
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9297f87bcc5dd19f667b0ad41ceaae9b604d806dd5b6927f1af5c85a2bdfb3e6"
+        )
+        for coords in (["1"], ["1", "-1"]):
+            assert run(capsys, "fs", "A2", *coords)[0] == EXIT_USAGE
+        assert len(calls) == 1  # a bad weight is refused before any walk
 
 
 class TestTable:
@@ -359,6 +375,13 @@ class TestCheckAll:
         assert doc["results"][0]["torsion_duality_ok"] is True
         assert doc["all_passed"] is True
 
+    def test_seed_is_a_usage_error(self):
+        # the duality certificate decides torsion_duality_ok and no witness
+        # is printed, so a seed for the witness search would change nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["check-all", "--seed", "1"])
+        assert exc.value.code == EXIT_USAGE
+
     def test_cap_is_a_usage_error(self):
         for argv in (["check-all", "A16", "--max-coord", "0"], ["torsion", "A16", "2"]):
             with pytest.raises(SystemExit) as exc:
@@ -522,6 +545,16 @@ CHAR_A20_REGULAR = """\
 # 256 rows (40,786 bytes): 241 values 0, 11 values 1, 4 values -1
 TABLE_E8_SHA256 = "0ebe4d748e0b5d566f0389521202c16ff4c60eefb22d94c643216b24455e2d7e"
 
+# stdout serialized from the report records' own fields
+RECORD_STDOUT_SHA256 = {
+    "info D4": "5944cd4252c9ec7a9b7583326be30087d297b990d0a2515f7eb113ebe7d1d0d8",
+    "info A1xB3": "ec04106df6b1ddb9ca0294617a27d9b696b53689296a4561cd074520de45e1cc",
+    "torsion B2xG2 7": "55e075913ad7df7119cc03b810209192c8fc8d376ce1a97ad0e264d938e1b66c",
+    "torsion A5 6": "1dca02873765a290efe11b29fdd750aaf1e41745409c3b72af36c13a7f7dda0d",
+    "check-all": "d010d6875f4871e6815dd72a9ef13697bc2fa3b3c10dd05f66cad97903047c8d",
+    "check-all A1xG2 B3": "e6ff4c5801f957c491cba26292c8d9fa2760073e6d0ae78b843af25429539fd7",
+}
+
 CHAR_CASES = [
     (["char", "E8", "3", "0", "2", "1", "0", "4", "1", "5"], CHAR_E8_SINGULAR),
     (["char", "A20", *"1 22 43 1 64 22 1 1 85 22 43 1 1 22 64 1 22 1 43 22".split()],
@@ -550,3 +583,10 @@ def test_table_e8_stdout_is_pinned(capsys):
     assert len(out) == 40_786
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_E8_SHA256
     assert_in_schema_branch(out, "table")
+
+
+@pytest.mark.parametrize("command", list(RECORD_STDOUT_SHA256))
+def test_record_stdout_is_pinned(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == RECORD_STDOUT_SHA256[command]

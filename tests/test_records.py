@@ -10,6 +10,7 @@ pin the import set of a cold start, the names the benchmark's tracer
 rebinds, and the package's public surface.
 """
 
+import argparse
 import importlib
 import importlib.util
 import inspect
@@ -21,7 +22,7 @@ import sys
 import pytest
 
 import coxchar
-from coxchar import character, cyclotomic, lattice, oracle, rootdata, torsion, weyl
+from coxchar import character, cli, cyclotomic, lattice, oracle, rootdata, torsion, weyl
 from coxchar.cyclotomic import CyclotomicInt, divide_exact
 from coxchar.lattice import IntMatrix
 from coxchar.rootdata import build
@@ -224,3 +225,27 @@ def test_public_surface_is_pinned():
     assert coxchar.__all__ == PUBLIC_SURFACE
     for name in coxchar.__all__:
         assert getattr(coxchar, name, None) is not None, name
+
+
+# Adding or removing a command-line option is a contract change: it edits
+# this dict (subcommand -> its option strings, sorted, help left out).
+CLI_OPTIONS = {
+    "char": ["--oracle", "--weyl-cap"],
+    "check-all": ["--max-coord", "--weyl-cap"],
+    "fs": [],
+    "info": [],
+    "table": ["--format", "--max-coord"],
+    "torsion": ["--seed", "--trials"],
+    "verify": ["--max-coord", "--random", "--seed", "--weyl-cap"],
+}
+
+
+def test_cli_options_are_pinned():
+    sub = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        name: sorted(s for a in p._actions if a.dest != "help" for s in a.option_strings)
+        for name, p in sub.choices.items()
+    }
+    assert options == CLI_OPTIONS
