@@ -15,37 +15,37 @@ lambda = 0, not the product formula the fast path rests on.
 Because <w(mu), rho_check> = <mu, w^-1(rho_check)>, the exponents of a
 Weyl sum are the pairings of mu with the signed W-orbit of
 e * rho_check, which does not depend on lambda.  Each factor builds that
-orbit once, on first use, without a Python object per point: along the
-chain of parabolic subgroups W_{<1} < W_{<2} < ... < W, each orbit is
-the union of the blocks d(previous orbit) over a small tree of minimal
-coset representatives d, and each tree edge reflects a whole block of
-packed coordinates at once.  The build raises on a start that is not
-strictly dominant, on an orbit whose size is not |W| or whose sign
-classes are not |W|/2 each, and on an orbit that does not sum to 0.
-Each sign class is then stored as one byte string per coordinate, a
-byte per orbit point holding its residue mod N.  One kernel,
-``_byte_residues``, computes sum_i m_i * col_i mod N bytewise: each
-column goes through a 256-byte translate table of b -> m_i * b mod N,
-the results are added as big integers, and a "mod N" table folds the
-sum back whenever one more term could carry out of a byte.  Two
-residues must add up within a byte, so N <= 128; a larger N is refused
-before any orbit is built.  The pairings of mu with a sign class are
-that kernel with m_i = mu_i, and the Weyl sum is one ``bytes.count``
-per residue; the build reduces its packed orbit with the same kernel,
-one column per byte lane of the packed fields and m_j = 256^j mod N.
+orbit once, on first use, in the one format it is read in: each sign
+class is one byte string per coordinate, a byte per orbit point holding
+its residue mod N.  One kernel, ``_byte_residues``, computes
+sum_i m_i * col_i mod N bytewise: each column goes through a 256-byte
+translate table of b -> m_i * b mod N, the results are added as big
+integers, and a "mod N" table folds the sum back whenever one more term
+could carry out of a byte.  Two residues must add up within a byte, so
+N <= 128; a larger N is refused before any orbit is built.  The build
+walks the chain of parabolic subgroups W_{<1} < W_{<2} < ... < W: each
+orbit is the union of the blocks d(previous orbit) over a small tree of
+minimal coset representatives d, and each tree edge reflects a whole
+block with one call of the kernel.  The pairings of mu with a sign
+class are the same kernel with m_i = mu_i, and the Weyl sum is one
+``bytes.count`` per residue.  The build carries each block's exact
+coordinate sums alongside its residues, and raises on a start that is
+not strictly dominant, on a reflected column whose residues disagree
+with its block's exact sum mod N, on an orbit whose size is not |W| or
+whose sign classes are not |W|/2 each, and on an orbit that does not
+sum to 0.
 """
 
 from __future__ import annotations
 
 import cmath
-import sys
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .cyclotomic import CyclotomicInt, divide_exact
 from .errors import CapExceeded, InternalCheckError, TheoremViolation
 from .lattice import IntMatrix
-from .rootdata import RootDatum, SimpleFactor, _ones
+from .rootdata import RootDatum, SimpleFactor
 
 DEFAULT_WEYL_CAP = 5_000_000
 FLOAT_SHADOW_TOLERANCE = 1e-6
@@ -53,28 +53,6 @@ MAX_CONDUCTOR = 128  # two residues mod N must add up within a byte
 
 # (sign, one byte string of residues mod N per coordinate, number of points)
 SignClass = tuple[int, tuple[bytes, ...], int]
-
-
-# (bits, struct format) of the packed fields, narrowest first
-_FIELD_FORMATS = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
-
-
-def _packing(rank: int, n: int, start: Sequence[int]) -> tuple[int, int, str]:
-    """(bias, bits, format) for packing the orbit of ``start`` mod n.
-
-    The bias B is the smallest multiple of n with B >= max|start_i|, so
-    x_i + B = x_i mod n.  Every orbit point of a dominant start has
-    |x_i| <= max|start_i|, so a biased coordinate x_i + B lies in
-    [0, 2B], and the field is the narrowest that holds it: 8 bits for
-    E6 and E7, 16 for A8 and E8.  The pairings with mu never sit in
-    these fields; ``_byte_residues`` sums them in bytes.
-    """
-    bias = -(-max(map(abs, start)) // n) * n
-    need = 2 * bias
-    for bits, fmt in _FIELD_FORMATS:
-        if need < 1 << bits:
-            return bias, bits, fmt
-    raise InternalCheckError(f"no packed field holds {need} (rank {rank}, conductor {n})")
 
 
 def _coset_tree(cartan: IntMatrix, k: int) -> list[tuple[int, int, int]]:
@@ -106,18 +84,6 @@ def _coset_tree(cartan: IntMatrix, k: int) -> list[tuple[int, int, int]]:
     return tree
 
 
-def _reflect(
-    block: list[int], j: int, col: tuple[tuple[int, int], ...], shift: int
-) -> list[int]:
-    """s_j applied to every packed point of a block: only coordinate j
-    changes, x_j <- -x_j - sum_{i != j} A[i][j] x_i.  On biased fields
-    X = x + B that is X_j <- B * (2 + sum_{i != j} A[i][j]) - X_j - ...,
-    and ``shift`` is that constant in every field."""
-    y = list(block)
-    y[j] = shift - block[j] - sum(a * block[i] for i, a in col)
-    return y
-
-
 def _build_signed_orbit(
     f: SimpleFactor, start: tuple[int, ...], n: int
 ) -> tuple[SignClass, ...]:
@@ -126,17 +92,18 @@ def _build_signed_orbit(
 
     W = W^J W_J along the chain of parabolics W_{<1} < W_{<2} < ... < W,
     so the W_{<=k}-orbit is the union of d(W_{<k}-orbit) over the tree
-    of minimal coset representatives d.  Each orbit is one packed
-    integer per coordinate, the det = +1 points in its first fields and
-    the det = -1 points after them, and each tree edge is one packed
-    reflection of a whole block; no Python object is made per point.
-    The fields carry x + B until the end, where ``_byte_residues``
-    reduces each coordinate mod n once (n divides B), from the byte
-    lanes of its fields with the multipliers 256^j mod n.  Raises
-    InternalCheckError on a start that is not strictly dominant, an
-    orbit whose size is not |W| or whose sign classes are not |W|/2
-    each, and an orbit that does not sum to 0 coordinatewise (V has no
-    W-invariants).
+    of minimal coset representatives d.  Each orbit is one byte string
+    of residues per coordinate, the det = +1 points first and the
+    det = -1 points after them, and each tree edge s_j is one
+    ``_byte_residues`` call on a whole block: only coordinate j
+    changes, x_j <- -x_j - sum_{i != j} A[i][j] x_i, and the other
+    columns are shared with the parent block.  Reflections are linear,
+    so each block also carries the exact sum of its points, reflected
+    alongside it.  Raises InternalCheckError on a start that is not
+    strictly dominant, a reflected column whose residues do not add up
+    to its block's exact sum mod n, an orbit whose size is not |W| or
+    whose sign classes are not |W|/2 each, and an orbit that does not
+    sum to 0 (V has no W-invariants).
     """
     cartan = f.cartan
     r = f.rank
@@ -146,35 +113,41 @@ def _build_signed_orbit(
             f"orbit start {start} on {f.name} is not strictly dominant: "
             f"pairings with the simple roots {pairings}"
         )
-    bias, bits, fmt = _packing(r, n, start)
-    width = bits // 8
-    order = sys.byteorder
-    cols = [
-        tuple((i, cartan[i][j]) for i in range(r) if i != j and cartan[i][j] != 0)
+    # s_j as (multiplier, coordinate) terms of the new x_j
+    terms = [
+        [(-1, j)] + [(-cartan[i][j], i) for i in range(r) if i != j and cartan[i][j] != 0]
         for j in range(r)
     ]
-    block = [x + bias for x in start]
+    block = [bytes([x % n]) for x in start]
+    total = list(start)  # the exact coordinate sums of the block's points
     size, plus = 1, 1  # points in the block, of which the first `plus` have det +1
     for k in range(r):
-        ones = _ones(size, width)
-        shifts = [bias * (2 + sum(a for _, a in col)) * ones for col in cols]
-        blocks = [block]
-        dets = [1]
+        blocks, sums, dets = [block], [total], [1]
         for parent, j, det in _coset_tree(cartan, k):
-            blocks.append(_reflect(blocks[parent], j, cols[j], shifts[j]))
+            cols, s = blocks[parent], sums[parent]
+            y = _byte_residues(n, [(m, cols[i]) for m, i in terms[j]], size)
+            s = s[:j] + [sum(m * s[i] for m, i in terms[j])] + s[j + 1:]
+            if (sum(y) - s[j]) % n:
+                raise InternalCheckError(
+                    f"reflected coordinate {j} of a block of {f.name} has residues "
+                    f"summing to {sum(y) % n}, not {s[j] % n} mod {n}"
+                )
+            blocks.append(cols[:j] + [y] + cols[j + 1:])
+            sums.append(s)
             dets.append(det)
-        cut = plus * width
+        total = [sum(c) for c in zip(*sums)]
         block = []
         for i in range(r):
             views = []
             for b in blocks:
-                views.append(memoryview(_field_bytes(b[i], size * width, f)))
-                b[i] = None  # each coordinate is freed once it is copied
-            first = b"".join(v[:cut] if d > 0 else v[cut:] for v, d in zip(views, dets))
-            rest = b"".join(v[cut:] if d > 0 else v[:cut] for v, d in zip(views, dets))
-            block.append(int.from_bytes(first + rest, order))
-        plus = len(first) // width
-        size = plus + len(rest) // width
+                views.append(memoryview(b[i]))
+                b[i] = None  # each column is freed once it is copied
+            block.append(b"".join(
+                [v[:plus] if d > 0 else v[plus:] for v, d in zip(views, dets)]
+                + [v[plus:] if d > 0 else v[:plus] for v, d in zip(views, dets)]
+            ))
+        plus = sum(plus if d > 0 else size - plus for d in dets)
+        size *= len(dets)
 
     if size != f.weyl_order:
         raise InternalCheckError(f"orbit size {size} != Weyl order {f.weyl_order} on {f.name}")
@@ -183,31 +156,17 @@ def _build_signed_orbit(
             f"orbit sign classes of {f.name} have {plus} and {size - plus} points, "
             f"not {size // 2} each"
         )
-    lanes = [pow(256, j, n) for j in range(width)]
-    if order == "big":
-        lanes.reverse()
-    sums, first, rest = [], [], []
+    if any(total):
+        raise InternalCheckError(
+            f"signed orbit of {f.name} sums to {total}, not 0: V has no W-invariants"
+        )
+    first, rest = [], []
     for i in range(r):
-        v = _field_bytes(block[i], size * width, f)
+        x = block[i]
         block[i] = None
-        sums.append(sum(memoryview(v).cast(fmt)) - size * bias)
-        x = _byte_residues(n, [(m, v[j::width]) for j, m in enumerate(lanes)], size)
         first.append(x[:plus])
         rest.append(x[plus:])
-    if any(sums):
-        raise InternalCheckError(
-            f"signed orbit of {f.name} sums to {sums}, not 0: V has no W-invariants"
-        )
     return (1, tuple(first), plus), (-1, tuple(rest), size - plus)
-
-
-def _field_bytes(x: int, length: int, f: SimpleFactor) -> bytes:
-    """x as `length` bytes; a negative or oversized x means some packed
-    field under- or overflowed."""
-    try:
-        return x.to_bytes(length, sys.byteorder)
-    except OverflowError:
-        raise InternalCheckError(f"packed orbit block of {f.name} left its fields") from None
 
 
 @lru_cache(maxsize=None)

@@ -70,7 +70,6 @@ def make_dominant(rd: RootDatum, lam: Sequence[int]) -> tuple[Weight, int, int]:
 
 def duality_involution(rd: RootDatum, lam: Sequence[int]) -> Weight:
     """Highest weight of the dual representation: the dominant form of -lam."""
-    lam = rd.validate_weight(lam)
     dominant, _, _ = make_dominant(rd, tuple(-c for c in lam))
     return dominant
 

@@ -147,6 +147,7 @@ class TestWeightValidation:
         "char_at_coxeter": char_at_coxeter,
         "regularity_test": regularity_test,
         "fs_indicator": fs_indicator,
+        "duality_involution": duality_involution,
         "char_at_coxeter_oracle": char_at_coxeter_oracle,
     }
 

@@ -47,7 +47,7 @@ class TestWeylNumerator:
         with pytest.raises(CapExceeded):
             char_at_coxeter_oracle(build("E8"), (0,) * 8)
 
-    @pytest.mark.parametrize("t", ["A11", "A15", "A1xA15", "A16"])
+    @pytest.mark.parametrize("t", ["A11", "A15", "A1xA15", "A16", "A40"])
     def test_conductor_above_a_byte_is_refused_before_any_orbit_walk(self, monkeypatch, t):
         # two residues mod N add up within a byte only for N <= 128;
         # A11 (N = 144) is the first A type above that
@@ -110,25 +110,6 @@ SIMPLE_TYPES_TO_RANK_8 = (
 
 
 class TestPacking:
-    @pytest.mark.parametrize("t", SIMPLE_TYPES_TO_RANK_8 + ["A40"])
-    def test_field_holds_biased_coordinates_and_pairings(self, t):
-        # checked on the packing alone: none of these orbits is built
-        f = build(t).factors[0]
-        ev = CoxeterEvaluation.for_factor(f)
-        n, start = ev.conductor, ev.weight_exponents
-        bias, bits, fmt = oracle._packing(f.rank, n, start)
-        assert struct.calcsize(fmt) * 8 == bits
-        # every orbit point of the dominant start lies within +-max(start)
-        assert bias % n == 0 and bias - n < max(start) <= bias
-        # biased coordinates in [0, 2B] fit the field, and no narrower one
-        assert 2 * bias < 1 << bits
-        if bits > 8:
-            assert 2 * bias >= 1 << (bits // 2)
-        # pairings are summed in bytes, so N > 128 is refused
-        if n > MAX_CONDUCTOR:
-            with pytest.raises(CapExceeded, match=f"N = {n} "):
-                char_at_coxeter_oracle(build(t), (0,) * f.rank, cap=None)
-
     @pytest.mark.parametrize(
         "n, bias, bits", [(4, 4, 16), (36, 108, 16), (30, 150, 32), (1681, 10086, 32), (12, 24, 64)]
     )
@@ -158,21 +139,6 @@ class TestByteResidues:
                   for _ in range(terms)]
             want = bytes(sum(m * c[p] for m, c in zip(ms, cols)) % n for p in range(size))
             assert oracle._byte_residues(n, list(zip(ms, cols)), size) == want
-
-    @pytest.mark.parametrize("t", ["A3", "A6", "D5", "G2"])
-    @pytest.mark.parametrize("bits, fmt", [(16, "H"), (32, "I"), (64, "Q")])
-    def test_orbit_residues_do_not_depend_on_bias_or_field_width(self, monkeypatch, t, bits, fmt):
-        # any multiple of N is a bias; the largest that a wider field
-        # holds fills all 2, 4 or 8 of its byte lanes, whose multipliers
-        # 256^j mod N then matter; 8 lanes exceed room = 5 for A6 (N = 49)
-        ev = CoxeterEvaluation.for_factor(build(t).factors[0])
-        n = ev.conductor
-        args = ev.factor, ev.weight_exponents, n
-        narrow = oracle._build_signed_orbit(*args)
-        assert oracle._packing(ev.factor.rank, n, ev.weight_exponents)[1] == 8
-        bias = ((1 << (bits - 1)) - 1) // n * n
-        monkeypatch.setattr(oracle, "_packing", lambda rank, n, start: (bias, bits, fmt))
-        assert oracle._build_signed_orbit(*args) == narrow
 
     @pytest.mark.parametrize("t", DIFFERENTIAL_TYPES)
     def test_histogram_matches_reference(self, t):
@@ -276,14 +242,23 @@ class TestChecksCanFail:
         with pytest.raises(InternalCheckError, match="sums to"):
             oracle._build_signed_orbit(f, ev.weight_exponents, ev.conductor)
 
-    def test_field_overflow_is_refused(self, monkeypatch):
-        # a packed reflection without its bias leaves negative fields
-        real_reflect = oracle._reflect
-        monkeypatch.setattr(
-            oracle, "_reflect", lambda block, j, col, shift: real_reflect(block, j, col, 0)
-        )
-        ev = CoxeterEvaluation.for_factor(build("A2").factors[0])
-        with pytest.raises(InternalCheckError, match="left its fields"):
+    @pytest.mark.parametrize("t", ["A2", "B3", "G2", "D4", "F4"])
+    @pytest.mark.parametrize("mutant", ["dropped neighbour", "doubled multipliers"])
+    def test_wrong_byte_reflection_is_refused(self, monkeypatch, t, mutant):
+        # the build's reflections are its only calls of the kernel: one
+        # that drops the last neighbour term of x_j, or doubles every
+        # multiplier, leaves a reflected column whose residues do not
+        # add up to its block's exact sum mod N
+        real_residues = oracle._byte_residues
+        mutants = {
+            "dropped neighbour": lambda n, terms, size: real_residues(n, terms[:-1], size),
+            "doubled multipliers": lambda n, terms, size: real_residues(
+                n, [(2 * m, col) for m, col in terms], size
+            ),
+        }
+        monkeypatch.setattr(oracle, "_byte_residues", mutants[mutant])
+        ev = CoxeterEvaluation.for_factor(build(t).factors[0])
+        with pytest.raises(InternalCheckError, match="residues summing to"):
             oracle._build_signed_orbit(ev.factor, ev.weight_exponents, ev.conductor)
 
     def test_perturbed_float_shadow_is_refused(self, monkeypatch, fresh_evaluations):
