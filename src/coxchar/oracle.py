@@ -5,34 +5,36 @@ falsifier for the fast path in ``character``.  The evaluation point is
 t = exp(2 pi i rho_check / h), the canonical representative of the
 Coxeter class; a weight nu takes the value exp(2 pi i <nu, rho_check> / h)
 there, which the conductor N = h * e (e the exponent of the center P/Q)
-turns into an integer power of zeta_N.  Numerator and denominator are alternating sums over the full
-Weyl group, accumulated exactly in ZZ[zeta_N]; the character is their
-quotient in QQ(zeta_N) and must come out as a literal -1, 0 or +1.
-Any other value raises with a full witness: the oracle can falsify the
-theory, it never assumes it.  The denominator is the same Weyl sum at
-lambda = 0, not the product formula the fast path rests on.
+turns into an integer power of zeta_N.  Numerator and denominator are
+alternating sums over the full Weyl group, accumulated exactly in
+ZZ[zeta_N]; the character is their quotient in QQ(zeta_N) and must come
+out as a literal -1, 0 or +1.  Any other value raises with a full
+witness: the oracle can falsify the theory, it never assumes it.  The
+denominator is the same Weyl sum at lambda = 0, not the product formula
+the fast path rests on.
 
 Because <w(mu), rho_check> = <mu, w^-1(rho_check)>, the exponents of a
 Weyl sum are the pairings of mu with the signed W-orbit of
 e * rho_check, which does not depend on lambda.  Each factor builds that
-orbit once, on first use, in the one format it is read in: each sign
-class is one byte string per coordinate, a byte per orbit point holding
-its residue mod N.  One kernel, ``_byte_residues``, computes
-sum_i m_i * col_i mod N bytewise: each column goes through a 256-byte
-translate table of b -> m_i * b mod N, the results are added as big
-integers, and a "mod N" table folds the sum back whenever one more term
-could carry out of a byte.  Two residues must add up within a byte, so
-N <= 128; a larger N is refused before any orbit is built.  The build
-walks the chain of parabolic subgroups W_{<1} < W_{<2} < ... < W: each
-orbit is the union of the blocks d(previous orbit) over a small tree of
-minimal coset representatives d, and each tree edge reflects a whole
-block with one call of the kernel.  The pairings of mu with a sign
-class are the same kernel with m_i = mu_i, and the Weyl sum is one
-``bytes.count`` per residue.  The build carries each block's exact
-coordinate sums alongside its residues, and raises on a start that is
-not strictly dominant, on a reflected column whose residues disagree
-with its block's exact sum mod N, on an orbit whose size is not |W| or
-whose sign classes are not |W|/2 each, and on an orbit that does not
+orbit once, on first use, in the one format it is read in: its det +1
+and its det -1 points, each class one byte string per coordinate, a
+byte per point holding its residue mod N.  One kernel,
+``_byte_residues``, computes sum_i m_i * col_i mod N bytewise: each
+column goes through a 256-byte translate table of b -> m_i * b mod N,
+the results are added as big integers, and a "mod N" table folds the
+sum back whenever one more term could carry out of a byte.  Two
+residues must add up within a byte, so N <= 128; a larger N is refused
+before any orbit is built.  The build walks the chain of parabolic
+subgroups W_{<1} < W_{<2} < ... < W: each orbit is the union of the
+blocks d(previous orbit) over a small tree of minimal coset
+representatives d.  Each tree edge is a simple reflection, of det -1:
+it reflects a block with one kernel call per sign class and swaps the
+classes.  The pairings of mu with a sign class are the same kernel with
+m_i = mu_i, and the Weyl sum is one ``bytes.count`` per residue and
+class.  The build carries each block's exact coordinate sums alongside
+its residues, and raises on a start that is not strictly dominant, on a
+reflected column whose residues disagree with its block's exact sum
+mod N, on an orbit whose size is not |W|, and on an orbit that does not
 sum to 0.
 """
 
@@ -51,26 +53,22 @@ DEFAULT_WEYL_CAP = 5_000_000
 FLOAT_SHADOW_TOLERANCE = 1e-6
 MAX_CONDUCTOR = 128  # two residues mod N must add up within a byte
 
-# (sign, one byte string of residues mod N per coordinate, number of points)
-SignClass = tuple[int, tuple[bytes, ...], int]
 
-
-def _coset_tree(cartan: IntMatrix, k: int) -> list[tuple[int, int, int]]:
+def _coset_tree(cartan: IntMatrix, k: int) -> list[tuple[int, int]]:
     """Minimal coset representatives of W_{<=k} / W_{<k} (nodes 0..k)
-    as a tree: (parent, j, det) per node in breadth-first order, node 0
-    the identity.
+    as a tree: (parent, j) per node in breadth-first order, node 0 the
+    identity, and node s_j * parent along each edge.
 
     The representatives d are in bijection with the W_{<=k}-orbit of
     the fundamental coweight omega_k, whose stabilizer is W_{<k}; in
     pairing coordinates x_i = <alpha_i, d omega_k>, s_j d is a longer
     representative exactly when x_j > 0 (Humphreys, *Reflection Groups
-    and Coxeter Groups* 1.10), and det(d) = (-1)^length.
+    and Coxeter Groups* 1.10), so every edge adds one to the length.
     """
     r = cartan.rows
     first = tuple(int(i == k) for i in range(r))
     index = {first: 0}
     points = [first]
-    dets = [1]
     tree = []
     for x in points:  # grows while it is read: breadth-first
         for j in range(k + 1):
@@ -79,31 +77,30 @@ def _coset_tree(cartan: IntMatrix, k: int) -> list[tuple[int, int, int]]:
                 if y not in index:
                     index[y] = len(points)
                     points.append(y)
-                    dets.append(-dets[index[x]])
-                    tree.append((index[x], j, dets[-1]))
+                    tree.append((index[x], j))
     return tree
 
 
 def _build_signed_orbit(
     f: SimpleFactor, start: tuple[int, ...], n: int
-) -> tuple[SignClass, ...]:
-    """The signed W-orbit of a strictly dominant coweight ``start``
-    (simple-coroot coordinates) as residues mod n, split by det(w).
+) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """The W-orbit of a strictly dominant coweight ``start`` (simple-coroot
+    coordinates) as residue columns mod n, det(w) = +1 and det(w) = -1.
 
     W = W^J W_J along the chain of parabolics W_{<1} < W_{<2} < ... < W,
     so the W_{<=k}-orbit is the union of d(W_{<k}-orbit) over the tree
-    of minimal coset representatives d.  Each orbit is one byte string
-    of residues per coordinate, the det = +1 points first and the
-    det = -1 points after them, and each tree edge s_j is one
-    ``_byte_residues`` call on a whole block: only coordinate j
-    changes, x_j <- -x_j - sum_{i != j} A[i][j] x_i, and the other
-    columns are shared with the parent block.  Reflections are linear,
-    so each block also carries the exact sum of its points, reflected
-    alongside it.  Raises InternalCheckError on a start that is not
-    strictly dominant, a reflected column whose residues do not add up
-    to its block's exact sum mod n, an orbit whose size is not |W| or
-    whose sign classes are not |W|/2 each, and an orbit that does not
-    sum to 0 (V has no W-invariants).
+    of minimal coset representatives d.  Each block d(orbit) is a pair
+    of sign classes, one byte string of residues per coordinate each.
+    A tree edge s_j has det -1: the child's det +1 columns are s_j of
+    the parent's det -1 columns, and the reverse.  Each is one
+    ``_byte_residues`` call, since only coordinate j changes,
+    x_j <- -x_j - sum_{i != j} A[i][j] x_i, and the other columns are
+    shared with the parent block.  Reflections are linear, so each block
+    also carries the exact sum of its points, reflected alongside it.
+    Raises InternalCheckError on a start that is not strictly dominant,
+    a reflected column whose residues do not add up to its block's
+    exact sum mod n, an orbit whose size is not |W|, and an orbit that
+    does not sum to 0 (V has no W-invariants).
     """
     cartan = f.cartan
     r = f.rank
@@ -118,55 +115,41 @@ def _build_signed_orbit(
         [(-1, j)] + [(-cartan[i][j], i) for i in range(r) if i != j and cartan[i][j] != 0]
         for j in range(r)
     ]
-    block = [bytes([x % n]) for x in start]
+    block = ([bytes([x % n]) for x in start], [b""] * r)  # det +1 columns, det -1 columns
     total = list(start)  # the exact coordinate sums of the block's points
-    size, plus = 1, 1  # points in the block, of which the first `plus` have det +1
     for k in range(r):
-        blocks, sums, dets = [block], [total], [1]
-        for parent, j, det in _coset_tree(cartan, k):
-            cols, s = blocks[parent], sums[parent]
-            y = _byte_residues(n, [(m, cols[i]) for m, i in terms[j]], size)
+        blocks, sums = [block], [total]
+        for parent, j in _coset_tree(cartan, k):
+            s = sums[parent]
             s = s[:j] + [sum(m * s[i] for m, i in terms[j])] + s[j + 1:]
-            if (sum(y) - s[j]) % n:
+            child = []
+            for cols in reversed(blocks[parent]):  # s_j swaps the sign classes
+                y = _byte_residues(n, [(m, cols[i]) for m, i in terms[j]], len(cols[0]))
+                child.append(cols[:j] + [y] + cols[j + 1:])
+            got = sum(child[0][j]) + sum(child[1][j])
+            if (got - s[j]) % n:
                 raise InternalCheckError(
                     f"reflected coordinate {j} of a block of {f.name} has residues "
-                    f"summing to {sum(y) % n}, not {s[j] % n} mod {n}"
+                    f"summing to {got % n}, not {s[j] % n} mod {n}"
                 )
-            blocks.append(cols[:j] + [y] + cols[j + 1:])
+            blocks.append(child)
             sums.append(s)
-            dets.append(det)
         total = [sum(c) for c in zip(*sums)]
-        block = []
+        block = ([], [])
         for i in range(r):
-            views = []
-            for b in blocks:
-                views.append(memoryview(b[i]))
-                b[i] = None  # each column is freed once it is copied
-            block.append(b"".join(
-                [v[:plus] if d > 0 else v[plus:] for v, d in zip(views, dets)]
-                + [v[plus:] if d > 0 else v[:plus] for v, d in zip(views, dets)]
-            ))
-        plus = sum(plus if d > 0 else size - plus for d in dets)
-        size *= len(dets)
+            for h, cols in enumerate(block):
+                cols.append(b"".join([b[h][i] for b in blocks]))
+                for b in blocks:
+                    b[h][i] = None  # each column is freed once it is copied
 
+    size = sum(len(cols[0]) for cols in block)
     if size != f.weyl_order:
         raise InternalCheckError(f"orbit size {size} != Weyl order {f.weyl_order} on {f.name}")
-    if 2 * plus != size:
-        raise InternalCheckError(
-            f"orbit sign classes of {f.name} have {plus} and {size - plus} points, "
-            f"not {size // 2} each"
-        )
     if any(total):
         raise InternalCheckError(
             f"signed orbit of {f.name} sums to {total}, not 0: V has no W-invariants"
         )
-    first, rest = [], []
-    for i in range(r):
-        x = block[i]
-        block[i] = None
-        first.append(x[:plus])
-        rest.append(x[plus:])
-    return (1, tuple(first), plus), (-1, tuple(rest), size - plus)
+    return tuple(block[0]), tuple(block[1])
 
 
 @lru_cache(maxsize=None)
@@ -211,7 +194,7 @@ class CoxeterEvaluation:
         self.factor = factor
         self.conductor = conductor  # N = h * e, e the exponent of P/Q
         self.weight_exponents = weight_exponents  # e * <omega_k, rho_check>, all integral
-        self._orbit: tuple[SignClass, ...] | None = None
+        self._orbit: tuple[tuple[bytes, ...], tuple[bytes, ...]] | None = None
         self._denominator: CyclotomicInt | None = None
         self._denominator_shadow = 0j
 
@@ -229,9 +212,9 @@ class CoxeterEvaluation:
             exps.append(v)
         return cls(factor=f, conductor=n, weight_exponents=tuple(exps))
 
-    def _signed_orbit(self) -> tuple[SignClass, ...]:
-        """The sign classes of the signed W-orbit of e * rho_check, as
-        residues mod N; built on the first call and cached."""
+    def _signed_orbit(self) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+        """The det +1 and det -1 residue columns of the signed W-orbit of
+        e * rho_check mod N; built on the first call and cached."""
         if self._orbit is None:
             self._orbit = _build_signed_orbit(self.factor, self.weight_exponents, self.conductor)
         return self._orbit
@@ -246,12 +229,10 @@ class CoxeterEvaluation:
         every residue.
         """
         n = self.conductor
-        counts = [0] * n
-        for sign, cols, size in self._signed_orbit():
-            x = _byte_residues(n, zip(mu, cols), size)
-            for k in range(n):
-                counts[k] += sign * x.count(k)
-        return counts
+        plus, minus = (
+            _byte_residues(n, zip(mu, cols), len(cols[0])) for cols in self._signed_orbit()
+        )
+        return [plus.count(k) - minus.count(k) for k in range(n)]
 
     def numerator(self, lam: Sequence[int]) -> tuple[CyclotomicInt, complex]:
         """Exact Weyl numerator at the Coxeter element, with its float shadow."""

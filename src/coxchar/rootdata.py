@@ -54,7 +54,8 @@ def parse_cartan_type(type_string: str) -> CartanType:
         fam, rank = m.group(1), int(m.group(2))
         lo = _FAMILY_MIN_RANK[fam]
         if rank < lo:
-            raise ValueError(f"{fam}{rank}: rank must be >= {lo} (D3 is written A3)")
+            hint = " (D3 is written A3)" if fam == "D" else ""
+            raise ValueError(f"{fam}{rank}: rank must be >= {lo}{hint}")
         if fam == "E" and rank not in (6, 7, 8):
             raise ValueError(f"E{rank}: rank must be 6, 7 or 8")
         if fam == "F" and rank != 4:
@@ -245,6 +246,9 @@ class SimpleFactor(NamedTuple):
     two_rho_check: tuple[int, ...]  # simple-coroot coords of the sum of positive coroots
     weyl_order: int
     packed: PackedCoroots
+
+    def __hash__(self) -> int:  # equal factors share family and rank; a tuple rehashes every field
+        return hash((self.family, self.rank))
 
     @property
     def name(self) -> str:

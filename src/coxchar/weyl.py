@@ -47,25 +47,25 @@ def make_dominant(rd: RootDatum, lam: Sequence[int]) -> tuple[Weight, int, int]:
     """Reflect lam into the dominant chamber.
 
     Returns (dominant, sign, steps) where dominant = w(lam) for the
-    product w of the applied reflections and sign = det(w).  Each step
-    applies the simple reflection at the smallest negative coordinate,
-    which strictly increases <x, rho_check>, so the loop terminates.
+    product w of the applied reflections and sign = det(w) = (-1)^steps.
+    Each step applies s_j at the smallest negative coordinate j, and s_j
+    permutes the positive coroots other than alpha_j_vee (Humphreys,
+    *Reflection Groups and Coxeter Groups* 1.4), so
+    steps = #{beta > 0 : <lam, beta_vee> < 0} <= |Phi+|.
     """
     x = rd.validate_weight(lam)
-    cap = 10 * rd.num_positive_roots * (1 + max((abs(c) for c in x), default=0))
-    sign = 1
+    cap = rd.num_positive_roots
     steps = 0
     while True:
         j = next((k for k, c in enumerate(x) if c < 0), None)
         if j is None:
-            return x, sign, steps
-        x = _reflect(rd.cartan, x, j)
-        sign = -sign
-        steps += 1
-        if steps > cap:
+            return x, (-1) ** steps, steps
+        if steps == cap:
             raise InternalCheckError(
                 f"make_dominant exceeded its iteration cap {cap} on {lam} ({rd.type_string})"
             )
+        x = _reflect(rd.cartan, x, j)
+        steps += 1
 
 
 def duality_involution(rd: RootDatum, lam: Sequence[int]) -> Weight:

@@ -52,6 +52,14 @@ class TestInfo:
         assert code == EXIT_USAGE
         assert "malformed" in err
 
+    @pytest.mark.parametrize("t, hint", [("A0", False), ("B1", False), ("C1", False), ("D3", True)])
+    def test_rank_error_names_d3_only_for_family_d(self, capsys, t, hint):
+        code, out, err = run(capsys, "info", t)
+        assert code == EXIT_USAGE and out == ""
+        assert "rank must be >=" in err
+        assert ("D3 is written A3" in err) == hint
+        assert ("D3" in err) == hint
+
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "info", "D4")
         _, out2, _ = run(capsys, "info", "D4")

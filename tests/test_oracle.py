@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import struct
@@ -59,6 +60,16 @@ class TestWeylNumerator:
         n = (rd.factors[-1].rank + 1) ** 2
         with pytest.raises(CapExceeded, match=f"N = {n} of A{rd.factors[-1].rank}"):
             char_at_coxeter_oracle(rd, (0,) * rd.rank, cap=None)
+
+    def test_factors_that_hash_alike_get_their_own_evaluation(self, fresh_evaluations):
+        # SimpleFactor hashes on (family, rank) alone; equality still
+        # compares every field, so a mutant is not served the real entry
+        f = build("F4").factors[0]
+        mutant = f._replace(coxeter_number=f.coxeter_number + 1)
+        assert hash(mutant) == hash(f) and mutant != f
+        real, other = oracle._evaluation(f), oracle._evaluation(mutant)
+        assert other is not real and oracle._evaluation(f) is real
+        assert (real.conductor, other.conductor) == (12, 13)
 
     @pytest.mark.parametrize("t, n", [("A10", 121), ("B32", 128)])
     def test_conductors_up_to_128_pass_the_check(self, t, n):
@@ -127,6 +138,21 @@ DIFFERENTIAL_TYPES = [t for t in SIMPLE_TYPES_TO_RANK_8 if build(t).weyl_order <
 
 
 class TestByteResidues:
+    @pytest.mark.parametrize("t, digest", [
+        ("A2", "3b2ee924455b26b95386aa660e56950162ef994673e96f48b5b210866b6d1562"),
+        ("B3", "d94fe5def07a2c19d42a7a7f54a0dbc40537dcbcd11fc0c47dfa946a5f7b53a1"),
+        ("G2", "410bd899ca6f813f2fddff1e4c59f1a24bb1518e340e19fa161e2d206ebc66a0"),
+        ("C4", "4e6da5d2b4ee480f1351d029015e070b419e4fd1cf013a904043b3e9eb61ca16"),
+        ("F4", "89e9a609aa7a1cba3bb51be8f4646aaef0257263c8dfbe3406b7ab49d605d46e"),
+        ("D5", "72e0815959c1bf7ded76fa0afe2beedd21de0ef935364159730c3a559d30f0f1"),
+        ("E6", "c3c258eeae05e06b89d584fcd0e67fdbf2726a7de0ca1b60b867218cd3194bf0"),
+        ("E7", "2ae314c502117a301bd681f374a3d62a8d3ff9ddda1e785f75aec2f9382d493b"),
+    ])
+    def test_orbit_bytes_are_pinned(self, t, digest):
+        # every det +1 column, then every det -1 column, in coordinate order
+        plus, minus = oracle._evaluation(build(t).factors[0])._signed_orbit()
+        assert hashlib.sha256(b"".join(plus) + b"".join(minus)).hexdigest() == digest
+
     @pytest.mark.parametrize("n", [2, 4, 9, 36, 48, 49, 64, 100, 128])
     def test_kernel_matches_bytewise_sum(self, n):
         # up to 9 terms, so every n with room = 255 // (n - 1) < 9 folds,
@@ -207,34 +233,20 @@ class TestChecksCanFail:
         with pytest.raises(InternalCheckError, match="not strictly dominant"):
             oracle._build_signed_orbit(f, (1, 2), 9)  # <alpha_1, x> = 0
 
-    def test_sign_classes_of_unequal_size_are_refused(self, monkeypatch, fresh_evaluations):
-        # s_1 given det +1 puts both points of W_{<=0} in the det = +1
-        # class; the three representatives of W(A2) / W(A1) do not even
-        # that out again (two have even length)
-        real_tree = oracle._coset_tree
-
-        def unsigned(cartan, k):
-            tree = real_tree(cartan, k)
-            return [(p, j, 1) for p, j, _ in tree] if k == 0 else tree
-
-        monkeypatch.setattr(oracle, "_coset_tree", unsigned)
-        with pytest.raises(InternalCheckError, match="have 4 and 2 points, not 3 each"):
-            char_at_coxeter_oracle(build("A2"), (1, 1))
-
     @pytest.mark.parametrize("t", ["A2", "B3", "G2", "D4", "F4"])
     def test_wrong_reflection_is_refused(self, monkeypatch, t):
         # the first block of the last level reflected by s_1 instead of
-        # s_r: the right size and signs, but s_1 fixes the sum of the
-        # W_{<r}-orbit and s_r does not
+        # s_r: the right size, but s_1 fixes the sum of the W_{<r}-orbit
+        # and s_r does not
         real_tree = oracle._coset_tree
         f = build(t).factors[0]
 
         def misdirected(cartan, k):
             tree = real_tree(cartan, k)
             if k == f.rank - 1:
-                parent, j, det = tree[0]
+                parent, j = tree[0]
                 assert j == k
-                tree[0] = (parent, 0, det)
+                tree[0] = (parent, 0)
             return tree
 
         monkeypatch.setattr(oracle, "_coset_tree", misdirected)

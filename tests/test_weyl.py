@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coxchar.errors import CapExceeded
+from coxchar import weyl
+from coxchar.errors import CapExceeded, InternalCheckError
 from coxchar.rootdata import build, pairing
 from coxchar.weyl import (
     coxeter_element,
@@ -79,6 +80,35 @@ class TestMakeDominant:
         assert all(c >= 0 for c in dom)
         assert sign == (-1) ** (steps % 2)
         assert make_dominant(rd, dom) == (dom, 1, 0)
+
+    @pytest.mark.parametrize("t", ["A1", "A3", "B3", "C4", "G2", "F4", "D5", "E6", "E8", "A1xB2"])
+    def test_steps_count_the_coroots_lam_pairs_negatively(self, t):
+        rd = build(t)
+        rng = random.Random(t)
+        for _ in range(20):
+            lam = tuple(rng.randint(-9, 9) for _ in range(rd.rank))
+            negative = sum(
+                sum(c * x for c, x in zip(p.coroot, lam[rd.factor_slice(k)])) < 0
+                for k, f in enumerate(rd.factors)
+                for p in f.positive
+            )
+            assert make_dominant(rd, lam)[2] == negative <= rd.num_positive_roots
+        assert make_dominant(rd, tuple(-c for c in rd.rho))[2] == rd.num_positive_roots
+
+    @pytest.mark.parametrize("t", ["A2", "G2", "E8", "A1xB2"])
+    def test_walk_past_every_positive_root_is_refused(self, monkeypatch, t):
+        # a reflection that never reaches the dominant chamber
+        rd = build(t)
+        calls = []
+
+        def stuck(cartan, coords, j):
+            calls.append(j)
+            return tuple(coords)
+
+        monkeypatch.setattr(weyl, "_reflect", stuck)
+        with pytest.raises(InternalCheckError, match=f"iteration cap {rd.num_positive_roots} "):
+            make_dominant(rd, (-1,) * rd.rank)
+        assert len(calls) == rd.num_positive_roots
 
     @given(type_and_weight())
     def test_height_never_decreases(self, tw):

@@ -79,7 +79,8 @@ def reference_signed_orbit_counts(ev, mu: Sequence[int]) -> list[int]:
     """
     n = ev.conductor
     counts = [0] * n
-    for sign, cols, size in ev._signed_orbit():
+    for sign, cols in zip((1, -1), ev._signed_orbit()):
+        size = len(cols[0])
         assert len(cols) * (n - 1) ** 2 < 1 << 16
         packed = [int.from_bytes(array("H", list(col)).tobytes(), sys.byteorder) for col in cols]
         total = sum(m % n * p for m, p in zip(mu, packed))
