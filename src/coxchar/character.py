@@ -43,52 +43,60 @@ from .weyl import duality_involution
 
 
 class BlockingCoroot(NamedTuple):
-    """Witness that mu = lambda + rho is singular mod h."""
+    """Witness that mu = lambda + rho is singular mod h: <mu, coroot> = 0 mod h."""
 
     factor: int
     pair: RootPair  # full-rank embedded coordinates
-    pairing_mod_h: int
 
     def as_dict(self) -> dict:
-        return _json_fields(self.pair, factor=self.factor, pairing_mod_h=self.pairing_mod_h)
+        return _json_fields(self.pair, factor=self.factor, pairing_mod_h=0)
 
 
 class FactorCharValue(NamedTuple):
-    value: int
-    regular: bool
-    sign_parity: Optional[int]
-    endpoint_is_rho: Optional[bool]
+    """One factor's pass: its wall count, or None and its blocking coroot."""
+
     steps: Optional[int]
     blocking_coroot: Optional[BlockingCoroot]
+
+    def as_dict(self) -> dict:
+        if self.steps is None:
+            return {"value": 0, "regular": False}
+        odd = self.steps % 2
+        return {"value": -1 if odd else 1, "regular": True, "sign_parity": odd,
+                "steps": self.steps}
 
 
 class CharReport(NamedTuple):
     """Value and provenance of a character evaluation at the Coxeter class."""
 
     value: int
-    regular: bool
-    sign_parity: Optional[int]
-    endpoint_is_rho: Optional[bool]
     blocking_coroot: Optional[BlockingCoroot]
     factors: tuple[FactorCharValue, ...]
 
+    @property
+    def regular(self) -> bool:
+        return self.value != 0
+
+    @property
+    def sign_parity(self) -> Optional[int]:
+        """value = (-1)**sign_parity; None when the value is 0."""
+        return int(self.value < 0) if self.value else None
+
+    @property
+    def endpoint_is_rho(self) -> Optional[bool]:
+        """True when regular: the alcove walk of lambda + rho ends at rho, as
+        the build asserts that rho is the only integral point of the open
+        fundamental alcove.  None when singular."""
+        return True if self.value else None
+
     def as_dict(self) -> dict:
         out: dict = {"value": self.value, "regular": self.regular}
-        if self.sign_parity is not None:
+        if self.value:
             out["sign_parity"] = self.sign_parity
-        if self.endpoint_is_rho is not None:
-            out["endpoint_is_rho"] = self.endpoint_is_rho
-        if self.blocking_coroot is not None:
+            out["endpoint_is_rho"] = True
+        else:
             out["blocking_coroot"] = self.blocking_coroot.as_dict()
-        out["factors"] = [
-            {
-                "value": f.value,
-                "regular": f.regular,
-                **({"sign_parity": f.sign_parity} if f.sign_parity is not None else {}),
-                **({"steps": f.steps} if f.steps is not None else {}),
-            }
-            for f in self.factors
-        ]
+        out["factors"] = [f.as_dict() for f in self.factors]
         return out
 
 
@@ -190,27 +198,19 @@ def char_at_coxeter(rd: RootDatum, lam: Sequence[int]) -> CharReport:
     witness) or crosses ``steps`` affine walls on its way to rho (value
     (-1)**steps).  The value is the product over the factors, and the
     report's witness is that of the first singular factor.
-    ``endpoint_is_rho`` holds by construction: the build asserts that
-    rho is the only integral point of the open fundamental alcove.
     """
     lam = rd.validate_weight(lam, dominant=True)
     factors = []
-    blocking = None
-    parity = 0
     for k, f in enumerate(rd.factors):
         hit = _walls_or_blocking(f, [c + 1 for c in lam[rd.factor_slice(k)]])
         if isinstance(hit, int):
-            parity ^= hit % 2
-            factors.append(FactorCharValue(-1 if hit % 2 else 1, True, hit % 2, True, hit, None))
+            factors.append(FactorCharValue(hit, None))
         else:
             embedded = RootPair(*(rd.embed(k, coords) for coords in hit))
-            witness = BlockingCoroot(factor=k, pair=embedded, pairing_mod_h=0)
-            if blocking is None:
-                blocking = witness
-            factors.append(FactorCharValue(0, False, None, None, None, witness))
-    if blocking is not None:
-        return CharReport(0, False, None, None, blocking, tuple(factors))
-    return CharReport(-1 if parity else 1, True, parity, True, None, tuple(factors))
+            factors.append(FactorCharValue(None, BlockingCoroot(k, embedded)))
+    witness = next((fv.blocking_coroot for fv in factors if fv.steps is None), None)
+    value = 0 if witness is not None else -1 if sum(fv.steps for fv in factors) % 2 else 1
+    return CharReport(value, witness, tuple(factors))
 
 
 def regularity_test(

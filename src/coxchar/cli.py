@@ -311,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CAP
     except (TheoremViolation, InternalCheckError) as exc:
         print(f"diagnostic: {exc}", file=sys.stderr)
-        if isinstance(exc, TheoremViolation) and exc.witness:
+        if exc.witness:
             print(json.dumps(exc.witness, sort_keys=True), file=sys.stderr)
         return EXIT_DIAGNOSTIC
 

@@ -8,7 +8,11 @@ from __future__ import annotations
 
 
 class CoxcharError(Exception):
-    """Base class for package-specific failures."""
+    """Base class for package-specific failures; ``witness`` data reproduces one."""
+
+    def __init__(self, message: str, witness: dict | None = None):
+        super().__init__(message)
+        self.witness = witness or {}
 
 
 class CapExceeded(CoxcharError):
@@ -23,13 +27,8 @@ class TheoremViolation(CoxcharError):
     """An exact identity the library is built around failed to hold.
 
     This is deliberately loud: the oracle and the fast path must be able
-    to falsify the mathematics, not assume it.  Carries a witness dict
-    with enough data to reproduce the failure.  CLI exit code 3.
+    to falsify the mathematics, not assume it.  CLI exit code 3.
     """
-
-    def __init__(self, message: str, witness: dict | None = None):
-        super().__init__(message)
-        self.witness = witness or {}
 
 
 class InternalCheckError(CoxcharError):

@@ -316,8 +316,9 @@ def char_at_coxeter_oracle(
         shadow = num_shadow / den_shadow
         if abs(shadow - q) > FLOAT_SHADOW_TOLERANCE:
             raise InternalCheckError(
-                f"float shadow {shadow} strayed from exact value {q} on {f.name}, "
-                f"lambda={list(lam)}"
+                f"float shadow {shadow} strayed from exact value {q} on {f.name}",
+                witness={"type": rd.type_string, "factor": f.name, "lambda": list(lam),
+                         "exact": q, "shadow": [shadow.real, shadow.imag]},
             )
         value *= q
     return value

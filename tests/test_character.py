@@ -176,7 +176,20 @@ class TestRegularity:
         ok, witness = regularity_test(build("A2"), (1, 0))
         assert not ok
         assert witness.pair.coroot == (1, 1)
-        assert witness.pairing_mod_h == 0
+        # every witness pairs lambda + rho to 0 mod its factor's h, recomputed
+        # from the embedded coroot rather than read back from the report
+        singular = 0
+        for t in ["A2", "B2", "G2", "A1xB2"]:
+            rd = build(t)
+            for lam in itertools.product(range(4), repeat=rd.rank):
+                ok, witness = regularity_test(rd, lam)
+                if ok:
+                    continue
+                singular += 1
+                mu = [c + r for c, r in zip(lam, rd.rho)]
+                pairing = sum(map(mul, mu, witness.pair.coroot))
+                assert pairing % rd.coxeter_numbers[witness.factor] == 0, (t, lam)
+        assert singular > 0
 
     def test_a2_adjoint_regular(self):
         ok, _ = regularity_test(build("A2"), (1, 1))
@@ -195,8 +208,8 @@ class TestRegularity:
     def test_singular_product_witness(self, t, lam, factor):
         rd = build(t)
         rep = char_at_coxeter(rd, lam)
-        assert not rep.factors[factor].regular
-        assert all(fv.regular for fv in rep.factors[:factor])
+        assert rep.factors[factor].steps is None
+        assert all(fv.steps is not None for fv in rep.factors[:factor])
         ok, witness = regularity_test(rd, lam)
         assert not ok
         assert witness == rep.blocking_coroot == rep.factors[factor].blocking_coroot

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coxchar import weyl
+from coxchar import oracle, weyl
 from coxchar.cli import EXIT_CAP, EXIT_DIAGNOSTIC, EXIT_OK, EXIT_USAGE, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -135,6 +135,16 @@ class TestChar:
     def test_negative_weight_exit_2(self, capsys):
         code, _, _ = run(capsys, "char", "A2", "1", "-1")
         assert code == EXIT_USAGE
+
+    def test_float_shadow_diagnostic_prints_its_witness(self, capsys, monkeypatch):
+        # no shadow lies within a negative tolerance of its exact value
+        monkeypatch.setattr(oracle, "FLOAT_SHADOW_TOLERANCE", -1)
+        code, out, err = run(capsys, "char", "A2", "1", "1", "--oracle")
+        assert code == EXIT_DIAGNOSTIC and out == ""
+        assert err.startswith("diagnostic: float shadow")
+        witness = json.loads(err.splitlines()[-1])
+        assert set(witness) == {"type", "factor", "lambda", "exact", "shadow"}
+        assert (witness["type"], witness["lambda"], witness["exact"]) == ("A2", [1, 1], -1)
 
 
 class TestFs:
@@ -563,6 +573,14 @@ RECORD_STDOUT_SHA256 = {
     "check-all A1xG2 B3": "e6ff4c5801f957c491cba26292c8d9fa2760073e6d0ae78b843af25429539fd7",
 }
 
+# product types: a singular second factor, two singular factors, and a
+# regular weight whose factors take 2 and 3 steps
+CHAR_PRODUCT_SHA256 = {
+    "char A2xG2 1 1 1 1": "cda214a79f231d105c271456d1fb5d37a459bd7edce9ef136bed6ceef83b4a0c",
+    "char A1xA1 1 1": "aed70544724c04a4b275bfa9bbc77f346d50cccb3b73e0adf2e05d386e1bebcc",
+    "char A2xG2 0 3 0 2": "1cddbd1855d5294a91eafbc48587dc9c1c1e9528c8dbbed687a03c4e41191033",
+}
+
 CHAR_CASES = [
     (["char", "E8", "3", "0", "2", "1", "0", "4", "1", "5"], CHAR_E8_SINGULAR),
     (["char", "A20", *"1 22 43 1 64 22 1 1 85 22 43 1 1 22 64 1 22 1 43 22".split()],
@@ -598,3 +616,11 @@ def test_record_stdout_is_pinned(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == RECORD_STDOUT_SHA256[command]
+
+
+@pytest.mark.parametrize("command", list(CHAR_PRODUCT_SHA256))
+def test_product_char_stdout_is_pinned(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == CHAR_PRODUCT_SHA256[command]
+    assert_in_schema_branch(out, "char")
