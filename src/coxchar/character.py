@@ -32,7 +32,6 @@ the Frobenius-Schur indicator, and the principal-cocharacter checks.
 
 from __future__ import annotations
 
-from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
@@ -149,7 +148,9 @@ def alcove_reduce(rd: RootDatum, mu: Sequence[int]) -> tuple[Weight, int, int]:
         if not isinstance(walls, int):
             raise InternalCheckError(
                 f"alcove reduction of {mu} meets the wall <x, beta_vee> = 0 mod {h} "
-                f"of {f.name} for beta_vee = {walls.coroot}"
+                f"of {f.name} for beta_vee = {walls.coroot}",
+                witness={"type": rd.type_string, "factor": f.name, "mu": list(mu), "h": h,
+                         "coroot": list(walls.coroot)},
             )
         # the r + 1 walls: alpha_j in fundamental-weight coords, then the
         # partner root gamma of the highest coroot
@@ -169,14 +170,20 @@ def alcove_reduce(rd: RootDatum, mu: Sequence[int]) -> tuple[Weight, int, int]:
                     break  # x is in the open alcove: the walk is done
             if excess == 0:
                 wall = f"<x, alpha_{j+1}_vee> = 0" if j < f.rank else f"<x, gamma_vee> = {h}"
-                raise InternalCheckError(f"alcove reduction hit the wall {wall} at {tuple(x)}")
+                raise InternalCheckError(
+                    f"alcove reduction hit the wall {wall} at {tuple(x)}",
+                    witness={"type": rd.type_string, "factor": f.name, "mu": list(mu),
+                             "wall": wall, "at": x},
+                )
             root = roots[j]
             for i in range(f.rank):
                 x[i] -= excess * root[i]
         else:
             raise InternalCheckError(
                 f"alcove reduction of {mu} on {f.name} took more than "
-                f"the {walls} steps its wall count allows"
+                f"the {walls} steps its wall count allows",
+                witness={"type": rd.type_string, "factor": f.name, "mu": list(mu),
+                         "walls": walls},
             )
         endpoint.extend(x)
         steps += step  # the reflections made before the walk broke off
@@ -242,22 +249,17 @@ class CentralCharacter(NamedTuple):
 
 
 def _rho_on_center(center: FiniteAbelianGroup, rho: Weight, name: str) -> tuple[int, ...]:
-    """rho on the center: project rho into P/Q and read off +-1 per
-    generator.  The order always divides 2 (twice rho is a sum of
-    roots); anything else raises TheoremViolation."""
+    """rho on the center: project rho into P/Q, presented by the Smith
+    form of the Cartan matrix, and read off +-1 per generator.  The order
+    always divides 2 (twice rho is a sum of roots); anything else raises
+    TheoremViolation."""
     residues = center.project(rho)
-    values = []
-    for r_i, d_i in zip(residues, center.invariant_factors):
-        if r_i == 0:
-            values.append(1)
-        elif 2 * r_i == d_i:
-            values.append(-1)
-        else:
-            raise TheoremViolation(
-                f"rho has order > 2 on the center of {name}",
-                witness={"residues": list(residues)},
-            )
-    return tuple(values)
+    if any(r_i and 2 * r_i != d_i for r_i, d_i in zip(residues, center.invariant_factors)):
+        raise TheoremViolation(
+            f"rho has order > 2 on the center of {name}",
+            witness={"residues": list(residues)},
+        )
+    return tuple(-1 if r_i else 1 for r_i in residues)
 
 
 def rho_central_character(rd: RootDatum) -> CentralCharacter:
@@ -283,31 +285,25 @@ def coxeter_lift_order(rd: RootDatum) -> tuple[LiftOrderReport, ...]:
     The adjoint-side element is rho viewed as a cocharacter evaluated at
     a primitive h-th root of unity; its lifts have order equal to the
     least m with m*rho/h in the root lattice, namely h times the order
-    of [rho] in P/Q.  ``matches_h`` holds iff rho is trivial on the
-    center; the equivalence is asserted both ways.
+    of [rho] in P/Q.  That order is read from the root table: rho is half
+    the sum of the positive roots, so [rho] is in Q exactly when every
+    simple coordinate of the sum is even.  ``matches_h`` (lift order h)
+    must hold iff rho is trivial on the center, which ``_rho_on_center``
+    reads from the Smith form of the Cartan matrix; a disagreement
+    raises TheoremViolation.
     """
     reports = []
     for f in rd.factors:
         h = f.coxeter_number
-        # least m with (m/h) * rho in Q: h | m is forced by <alpha_i, rho_check> = 1,
-        # then m/h must kill [rho] in P/Q, whose order divides 2
-        multiplier = next(
-            k for k in (1, 2)
-            if all(r == 0 for r in f.center.project(tuple(k for _ in range(f.rank))))
-        )
-        lift_order = h * multiplier
+        two_rho = [sum(c) for c in zip(*(p.simple_coords for p in f.positive))]
+        lift_order = h if all(c % 2 == 0 for c in two_rho) else 2 * h
         trivial = all(v == 1 for v in _rho_on_center(f.center, f.rho, f.name))
-        matches = lift_order == h
-        if matches != trivial:
+        if (lift_order == h) != trivial:
             raise TheoremViolation(
                 f"central-character/lift-order equivalence failed for {f.name}",
                 witness={"factor": f.name, "lift_order": lift_order, "rho_trivial": trivial},
             )
-        reports.append(
-            LiftOrderReport(
-                factor=f.name, coxeter_number=h, lift_order=lift_order, matches_h=matches
-            )
-        )
+        reports.append(LiftOrderReport(f.name, h, lift_order, matches_h=trivial))
     return tuple(reports)
 
 
@@ -350,42 +346,36 @@ class PrincipalCocharacterReport(NamedTuple):
 
 
 def verify_principal_cocharacter(rd: RootDatum) -> tuple[PrincipalCocharacterReport, ...]:
-    """Per-factor checks that rho-as-cocharacter is the principal one:
+    """Per-factor checks that rho-as-cocharacter is the principal one,
+    each read from a source the build does not assert:
 
-    (a) <rho, alpha_i_vee> = 1 for every simple i;
-    (b) the adjoint-torus element exp(2 pi i rho_check / h) has order
-        exactly h (least m with m*rho_check/h in the coweight lattice);
-    (c) it is regular: no root height vanishes mod h.
+    (a) ``rho_pairings_all_one``: the sum of the positive roots, 2 rho,
+        is (2, ..., 2) in fundamental-weight coordinates;
+    (b) ``adjoint_order``: the order of the Coxeter element s_1 ... s_r,
+        from the Cartan matrix alone, must be h (Kostant, Amer. J. Math.
+        81 (1959)).  W acts freely on the orbit of rho, so the order is
+        the length of the walk of rho under it until rho returns;
+    (c) ``regular``: no root height is 0 mod that order.
 
     Failures are reported, not silently absorbed.
     """
     reports = []
     for f in rd.factors:
-        h = f.coxeter_number
-        r = f.rank
-        # pair rho against the computed coroots of the simple roots (the
-        # height-1 entries of the positive-root table), not against the
-        # unit coweights they should equal
-        simple_pairs = [p for p in f.positive if p.height == 1]
-        pairings_ok = len(simple_pairs) == r and all(
-            sum(a * b for a, b in zip(f.rho, p.coroot)) == 1 for p in simple_pairs
-        )
-        # adjoint order: m * rho_check / h lands in P_vee iff all <alpha_i, .> integral
-        # the denominator of x / 2h in lowest terms is 2h / gcd(x, 2h)
-        denoms = []
-        for i in range(r):
-            x = sum(f.cartan[j][i] * f.two_rho_check[j] for j in range(r))
-            denoms.append(2 * h // gcd(x, 2 * h))
-        adjoint_order = lcm(*denoms) if denoms else 1
-        heights_ok = all(p.height % h != 0 for p in f.positive)
-        reports.append(
-            PrincipalCocharacterReport(
-                factor=f.name,
-                coxeter_number=h,
-                rho_pairings_all_one=pairings_ok,
-                adjoint_order=adjoint_order,
-                adjoint_order_is_h=adjoint_order == h,
-                regular=heights_ok,
-            )
-        )
+        # s_j: x_k -= x_j * A[k][j] for k != j with A[k][j] != 0, then x_j -> -x_j
+        links = [[(k, row[j]) for k, row in enumerate(f.cartan) if k != j and row[j]]
+                 for j in range(f.rank)]
+        x = list(f.rho)
+        for order in range(1, 2 * len(f.positive) + 1):  # |Phi| = r h bounds the order
+            for j in reversed(range(f.rank)):  # s_r acts first
+                xj = x[j]
+                for k, a in links[j]:
+                    x[k] -= xj * a
+                x[j] = -xj
+            if x == list(f.rho):
+                break
+        two_rho = [sum(c) for c in zip(*(p.root for p in f.positive))]
+        reports.append(PrincipalCocharacterReport(
+            f.name, f.coxeter_number, rho_pairings_all_one=all(c == 2 for c in two_rho),
+            adjoint_order=order, adjoint_order_is_h=order == f.coxeter_number,
+            regular=all(p.height % order for p in f.positive)))
     return tuple(reports)

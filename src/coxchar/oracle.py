@@ -108,7 +108,8 @@ def _build_signed_orbit(
     if min(pairings) <= 0:
         raise InternalCheckError(
             f"orbit start {start} on {f.name} is not strictly dominant: "
-            f"pairings with the simple roots {pairings}"
+            f"pairings with the simple roots {pairings}",
+            witness={"factor": f.name, "start": list(start), "pairings": pairings},
         )
     # s_j as (multiplier, coordinate) terms of the new x_j
     terms = [
@@ -130,7 +131,9 @@ def _build_signed_orbit(
             if (got - s[j]) % n:
                 raise InternalCheckError(
                     f"reflected coordinate {j} of a block of {f.name} has residues "
-                    f"summing to {got % n}, not {s[j] % n} mod {n}"
+                    f"summing to {got % n}, not {s[j] % n} mod {n}",
+                    witness={"factor": f.name, "coordinate": j, "residue_sum": got % n,
+                             "exact_sum": s[j] % n, "n": n},
                 )
             blocks.append(child)
             sums.append(s)
@@ -144,10 +147,14 @@ def _build_signed_orbit(
 
     size = sum(len(cols[0]) for cols in block)
     if size != f.weyl_order:
-        raise InternalCheckError(f"orbit size {size} != Weyl order {f.weyl_order} on {f.name}")
+        raise InternalCheckError(
+            f"orbit size {size} != Weyl order {f.weyl_order} on {f.name}",
+            witness={"factor": f.name, "orbit_size": size, "weyl_order": f.weyl_order},
+        )
     if any(total):
         raise InternalCheckError(
-            f"signed orbit of {f.name} sums to {total}, not 0: V has no W-invariants"
+            f"signed orbit of {f.name} sums to {total}, not 0: V has no W-invariants",
+            witness={"factor": f.name, "orbit_sum": total},
         )
     return tuple(block[0]), tuple(block[1])
 
@@ -207,7 +214,9 @@ class CoxeterEvaluation:
             v, odd = divmod(e * coord, 2)
             if odd:
                 raise InternalCheckError(
-                    f"conductor {n} does not clear the exponent denominators of {f.name}"
+                    f"conductor {n} does not clear the exponent denominators of {f.name}",
+                    witness={"factor": f.name, "conductor": n,
+                             "two_rho_check": list(f.two_rho_check)},
                 )
             exps.append(v)
         return cls(factor=f, conductor=n, weight_exponents=tuple(exps))
@@ -249,7 +258,8 @@ class CoxeterEvaluation:
             exact, shadow = self.numerator((0,) * self.factor.rank)
             if not exact:
                 raise InternalCheckError(
-                    f"Weyl denominator of {self.factor.name} vanished at the Coxeter element"
+                    f"Weyl denominator of {self.factor.name} vanished at the Coxeter element",
+                    witness={"factor": self.factor.name, "conductor": self.conductor},
                 )
             self._denominator = exact
             self._denominator_shadow = shadow

@@ -362,17 +362,8 @@ class RootDatum(NamedTuple):
 
     def positive_roots(self) -> list[RootPair]:
         """All positive roots in full-rank coordinates."""
-        out = []
-        for k, f in enumerate(self.factors):
-            for p in f.positive:
-                out.append(
-                    RootPair(
-                        root=self.embed(k, p.root),
-                        simple_coords=self.embed(k, p.simple_coords),
-                        coroot=self.embed(k, p.coroot),
-                    )
-                )
-        return out
+        return [RootPair(*(self.embed(k, c) for c in p))
+                for k, f in enumerate(self.factors) for p in f.positive]
 
     def validate_weight(self, coords: Sequence[int], dominant: bool = False) -> Weight:
         if len(coords) != self.rank:

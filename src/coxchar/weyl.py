@@ -62,7 +62,8 @@ def make_dominant(rd: RootDatum, lam: Sequence[int]) -> tuple[Weight, int, int]:
             return x, (-1) ** steps, steps
         if steps == cap:
             raise InternalCheckError(
-                f"make_dominant exceeded its iteration cap {cap} on {lam} ({rd.type_string})"
+                f"make_dominant exceeded its iteration cap {cap} on {lam} ({rd.type_string})",
+                witness={"type": rd.type_string, "lambda": list(lam), "cap": cap},
             )
         x = _reflect(rd.cartan, x, j)
         steps += 1

@@ -253,12 +253,15 @@ class TestAlcoveReduce:
         assert alcove_reduce(rd, mu)[2] == 5
         real = character._walls_or_blocking
         monkeypatch.setattr(character, "_walls_or_blocking", lambda f, mu: real(f, mu) - 1)
-        with pytest.raises(InternalCheckError, match="more than the 4 steps"):
+        with pytest.raises(InternalCheckError, match="more than the 4 steps") as exc:
             alcove_reduce(rd, mu)
+        assert exc.value.witness == {"type": "B3", "factor": "B3", "mu": [1, 2, 5], "walls": 4}
 
     def test_singular_weight_raises(self):
-        with pytest.raises(InternalCheckError, match="0 mod 3"):
+        with pytest.raises(InternalCheckError, match="0 mod 3") as exc:
             alcove_reduce(build("A2"), (2, 1))
+        assert exc.value.witness == {
+            "type": "A2", "factor": "A2", "mu": [2, 1], "h": 3, "coroot": [1, 1]}
 
     def test_large_walk_reaches_rho(self):
         # past the 10**6 steps the old iteration cap allowed

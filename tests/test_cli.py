@@ -146,6 +146,21 @@ class TestChar:
         assert set(witness) == {"type", "factor", "lambda", "exact", "shadow"}
         assert (witness["type"], witness["lambda"], witness["exact"]) == ("A2", [1, 1], -1)
 
+    def test_orbit_build_diagnostic_prints_its_witness(self, capsys, monkeypatch):
+        # a kernel that drops its last term reflects a column wrongly
+        real = oracle._byte_residues
+        monkeypatch.setattr(oracle, "_byte_residues", lambda n, terms, size: real(
+            n, list(terms)[:-1], size))
+        oracle._evaluation.cache_clear()
+        try:
+            code, out, err = run(capsys, "char", "B3", "1", "0", "0", "--oracle")
+        finally:
+            oracle._evaluation.cache_clear()
+        assert code == EXIT_DIAGNOSTIC and out == ""
+        assert err.startswith("diagnostic: reflected coordinate")
+        witness = json.loads(err.splitlines()[1])
+        assert witness["factor"] == "B3" and witness["residue_sum"] != witness["exact_sum"]
+
 
 class TestFs:
     def test_a1_standard(self, capsys):
@@ -567,6 +582,17 @@ TABLE_E8_SHA256 = "0ebe4d748e0b5d566f0389521202c16ff4c60eefb22d94c643216b24455e2
 RECORD_STDOUT_SHA256 = {
     "info D4": "5944cd4252c9ec7a9b7583326be30087d297b990d0a2515f7eb113ebe7d1d0d8",
     "info A1xB3": "ec04106df6b1ddb9ca0294617a27d9b696b53689296a4561cd074520de45e1cc",
+    "info A1": "4dc41903808c9e0fddb2f32bf253ebcae1d52dd07a74cb8620c964a613f0427e",
+    "info B5": "94f460aaaf1dd83e95339651e53af85650f52618d0116d0d6b72864534e5675e",
+    "info C4": "a8e612b72253d2655160ff66f21d0deec05f7c1d8a7353ad87a009b1877df40c",
+    "info D5": "a362850a45c2750551e9a15ffe090a30c8193eeadec4a279e17e37a165028ff4",
+    "info E6": "04a49c86acd577cfba140e3ea383023edd1faa560ebb4664800862798d0391c1",
+    "info E7": "04c38db3aef37dfb4e5af598076e0d4409d3213f30de1e1425fe070ab8d60b1c",
+    "info E8": "0a23ecc647482a0ca6ffb8b0ff1e3f2ca307b4df19ea3758c3e4b6b8f79f05ec",
+    "info F4": "aa42723abfa2d1707327922d73ab657e5457a09a68767be354f63a569d3360a3",
+    "info G2": "6dee17d13e53d9328ea3a4d83f9044f611a53f70f9ceed8858e697f7c7799ca8",
+    "info A1xE8": "c09fe7359f32f1f05fb61291626bac45038c5f90999c7316da6b1a43902696b9",
+    "info A2xG2": "c3884ffe23e9684f6351f413cbe8fff290c0672c43be0dfcbd12320e98c5dbac",
     "torsion B2xG2 7": "55e075913ad7df7119cc03b810209192c8fc8d376ce1a97ad0e264d938e1b66c",
     "torsion A5 6": "1dca02873765a290efe11b29fdd750aaf1e41745409c3b72af36c13a7f7dda0d",
     "check-all": "d010d6875f4871e6815dd72a9ef13697bc2fa3b3c10dd05f66cad97903047c8d",

@@ -225,13 +225,15 @@ class TestChecksCanFail:
             return tree[:-1] if k == 2 else tree
 
         monkeypatch.setattr(oracle, "_coset_tree", lossy)
-        with pytest.raises(InternalCheckError, match="orbit size 42 != Weyl order 48"):
+        with pytest.raises(InternalCheckError, match="orbit size 42 != Weyl order 48") as exc:
             char_at_coxeter_oracle(build("B3"), (1, 0, 2))
+        assert exc.value.witness == {"factor": "B3", "orbit_size": 42, "weyl_order": 48}
 
     def test_singular_start_is_refused(self):
         f = build("A2").factors[0]
-        with pytest.raises(InternalCheckError, match="not strictly dominant"):
+        with pytest.raises(InternalCheckError, match="not strictly dominant") as exc:
             oracle._build_signed_orbit(f, (1, 2), 9)  # <alpha_1, x> = 0
+        assert exc.value.witness == {"factor": "A2", "start": [1, 2], "pairings": [0, 3]}
 
     @pytest.mark.parametrize("t", ["A2", "B3", "G2", "D4", "F4"])
     def test_wrong_reflection_is_refused(self, monkeypatch, t):

@@ -106,8 +106,10 @@ class TestMakeDominant:
             return tuple(coords)
 
         monkeypatch.setattr(weyl, "_reflect", stuck)
-        with pytest.raises(InternalCheckError, match=f"iteration cap {rd.num_positive_roots} "):
+        cap = rd.num_positive_roots
+        with pytest.raises(InternalCheckError, match=f"iteration cap {cap} ") as exc:
             make_dominant(rd, (-1,) * rd.rank)
+        assert exc.value.witness == {"type": t, "lambda": [-1] * rd.rank, "cap": cap}
         assert len(calls) == rd.num_positive_roots
 
     @given(type_and_weight())
