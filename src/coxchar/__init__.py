@@ -22,13 +22,13 @@ from .character import (
     rho_central_character,
     verify_principal_cocharacter,
 )
-from .cyclotomic import CyclotomicInt, cyclotomic_polynomial, divide_exact, zeta_pow
+from .cyclotomic import CyclotomicInt, cyclotomic_polynomial, divide_exact
 from .errors import CapExceeded, CoxcharError, InternalCheckError, TheoremViolation
-from .lattice import FiniteAbelianGroup, IntMatrix, quotient, smith_normal_form
+from .lattice import FiniteAbelianGroup, IntMatrix, quotient
 from .oracle import char_at_coxeter_oracle
 from .rootdata import RootDatum, RootPair, build, pairing
 from .torsion import char_group_of_torsion, classify_regular_orbits, duality_report
-from .weyl import WeylElement, coxeter_element, duality_involution, make_dominant
+from .weyl import duality_involution, make_dominant
 
 __version__ = "0.1.0"
 
@@ -43,13 +43,11 @@ __all__ = [
     "RootDatum",
     "RootPair",
     "TheoremViolation",
-    "WeylElement",
     "build",
     "char_at_coxeter",
     "char_at_coxeter_oracle",
     "char_group_of_torsion",
     "classify_regular_orbits",
-    "coxeter_element",
     "coxeter_lift_order",
     "cyclotomic_polynomial",
     "divide_exact",
@@ -61,7 +59,5 @@ __all__ = [
     "quotient",
     "regularity_test",
     "rho_central_character",
-    "smith_normal_form",
     "verify_principal_cocharacter",
-    "zeta_pow",
 ]

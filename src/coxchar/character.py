@@ -240,10 +240,6 @@ class CentralCharacter(NamedTuple):
     values: tuple[int, ...]  # +1 or -1 per invariant factor of P/Q
     order: int  # 1 or 2
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def as_dict(self) -> dict:
         return _json_fields(self)
 
@@ -257,7 +253,7 @@ def _rho_on_center(center: FiniteAbelianGroup, rho: Weight, name: str) -> tuple[
     if any(r_i and 2 * r_i != d_i for r_i, d_i in zip(residues, center.invariant_factors)):
         raise TheoremViolation(
             f"rho has order > 2 on the center of {name}",
-            witness={"residues": list(residues)},
+            witness={"type": name, "residues": list(residues)},
         )
     return tuple(-1 if r_i else 1 for r_i in residues)
 

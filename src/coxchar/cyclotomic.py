@@ -14,7 +14,6 @@ ZZ[zeta_N] until the final Fraction(c, Norm(b)) per coefficient.
 
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
 from math import gcd, prod
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -77,11 +76,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(quo)
 
 
-def phi_degree(n: int) -> int:
-    """Euler phi(n), as the degree of Phi_n."""
-    return len(cyclotomic_polynomial(n)) - 1
-
-
 def _reduce_int(n: int, coeffs: Sequence[int]) -> tuple[int, ...]:
     phi_n = list(cyclotomic_polynomial(n))
     _, rem = _poly_divmod_monic(list(coeffs), phi_n)
@@ -104,10 +98,6 @@ class CyclotomicInt(NamedTuple):
     @classmethod
     def from_poly(cls, n: int, coeffs: Sequence[int]) -> "CyclotomicInt":
         return cls(n, _reduce_int(n, coeffs))
-
-    @classmethod
-    def zero(cls, n: int) -> "CyclotomicInt":
-        return cls(n, (0,) * phi_degree(n))
 
     @classmethod
     def one(cls, n: int) -> "CyclotomicInt":
@@ -134,10 +124,6 @@ class CyclotomicInt(NamedTuple):
     def __rmul__(self, other: object) -> "CyclotomicInt":
         return NotImplemented  # not tuple repetition
 
-    def to_complex(self) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.conductor)
-        return sum(c * z**k for k, c in enumerate(self.coeffs) if c) or 0j
-
     def as_integer(self) -> int | None:
         """The value as a rational integer, or None if it is not one."""
         if any(self.coeffs[1:]):
@@ -145,27 +131,11 @@ class CyclotomicInt(NamedTuple):
         return self.coeffs[0]
 
 
-def zeta_pow(n: int, k: int) -> CyclotomicInt:
-    """Canonical form of zeta_n^k (k taken mod n)."""
-    k %= n
-    return CyclotomicInt.from_poly(n, [0] * k + [1])
-
-
 class CyclotomicRational(NamedTuple):
     """Element of QQ(zeta_N) in canonical reduced form."""
 
     conductor: int
     coeffs: tuple[Fraction, ...]
-
-    def to_complex(self) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.conductor)
-        return sum(float(c) * z**k for k, c in enumerate(self.coeffs) if c) or 0j
-
-    def as_integer(self) -> int | None:
-        if any(self.coeffs[1:]):
-            return None
-        c0 = self.coeffs[0]
-        return int(c0) if c0.denominator == 1 else None
 
 
 def _galois(b: CyclotomicInt, k: int) -> CyclotomicInt:
@@ -195,6 +165,7 @@ def divide_exact(num: CyclotomicInt, den: CyclotomicInt) -> CyclotomicRational:
     norm = (den * rest).as_integer()
     if not norm:
         raise InternalCheckError(
-            f"Galois norm of {list(den.coeffs)} mod Phi_{n} is not a nonzero integer"
+            f"Galois norm of {list(den.coeffs)} mod Phi_{n} is not a nonzero integer",
+            witness={"conductor": n, "denominator": list(den.coeffs), "norm": norm},
         )
     return CyclotomicRational(n, tuple(Fraction(c, norm) for c in (num * rest).coeffs))

@@ -28,15 +28,6 @@ class IntMatrix(tuple):
             raise ValueError("ragged rows")
         return m
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-    @classmethod
-    def diagonal(cls, entries: Sequence[int]) -> "IntMatrix":
-        n = len(entries)
-        return cls(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n))
-
     @property
     def rows(self) -> int:
         return len(self)
@@ -45,22 +36,11 @@ class IntMatrix(tuple):
     def cols(self) -> int:
         return len(self[0]) if self else 0
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = tuple(zip(*other))
-        return IntMatrix(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self
-        )
-
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self)) if self else self
 
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix(tuple(k * x for x in row) for row in self)
@@ -110,20 +90,15 @@ def _col_sub(a: list[list[int]], j: int, t: int, q: int) -> None:
         row[j] -= q * row[t]
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, D, V) with U @ m @ V == D, U and V unimodular.
+def _smith(m: IntMatrix) -> tuple[list[list[int]], ...]:
+    """Smith normal form: (U, D, V) as lists of rows, with U m V = D for
+    U and V unimodular.
 
     D is diagonal with nonnegative entries satisfying d1 | d2 | ... ;
     trailing zeros indicate rank deficiency.  Deterministic: the pivot is
     always the nonzero entry of minimal absolute value (ties broken by
     position), so repeated runs give identical transforms.
     """
-    u, d, v = _smith(m)
-    return IntMatrix.from_rows(u), IntMatrix.from_rows(d), IntMatrix.from_rows(v)
-
-
-def _smith(m: IntMatrix) -> tuple[list[list[int]], ...]:
-    """(U, D, V) of ``smith_normal_form`` as lists of rows."""
     nrows, ncols = m.rows, m.cols
     a = [list(row) for row in m]
     u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
@@ -229,10 +204,6 @@ class FiniteAbelianGroup(NamedTuple):
     def exponent(self) -> int:
         """Largest element order (last invariant factor, or 1)."""
         return self.invariant_factors[-1] if self.invariant_factors else 1
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
 
     def project(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.ambient_rank:

@@ -1,38 +1,20 @@
-"""Weyl group actions on the weight lattice.
+"""The Weyl group's action on weights, one simple reflection at a time.
 
-Elements act on fundamental-weight coordinates by exact integer
-matrices; the sign of an element is the determinant of its matrix,
-which equals (-1)^(reduced word length).  Simple-root indices in the
-public API are 1-based (Bourbaki numbering, matching the README tables);
-everything internal is 0-based.
+A simple reflection s_j acts on fundamental-weight coordinates through
+column j of the Cartan matrix; no Weyl group element is ever stored,
+as a matrix or otherwise.  ``make_dominant`` walks a weight into the dominant chamber and
+reports the sign (-1)^steps of the element it applied, and
+``duality_involution`` reads the dual highest weight from it.
+Coordinates are 0-based internally.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Sequence
 
 from .errors import InternalCheckError
 from .lattice import IntMatrix
 from .rootdata import RootDatum, Weight
-
-class WeylElement(NamedTuple):
-    matrix: IntMatrix
-    sign: int
-    word: Optional[tuple[int, ...]] = None  # 1-based simple indices, when known
-
-
-def reflection_matrix(rd: RootDatum, i: int) -> IntMatrix:
-    """Matrix of the simple reflection s_i (1-based) on weight coordinates."""
-    if not 1 <= i <= rd.rank:
-        raise ValueError(f"simple index {i} out of range 1..{rd.rank}")
-    j = i - 1
-    n = rd.rank
-    rows = []
-    for k in range(n):
-        row = [int(k == c) for c in range(n)]
-        row[j] -= rd.cartan[k][j]
-        rows.append(row)
-    return IntMatrix.from_rows(rows)
 
 
 def _reflect(cartan: IntMatrix, coords: Sequence[int], j: int) -> tuple[int, ...]:
@@ -73,18 +55,4 @@ def duality_involution(rd: RootDatum, lam: Sequence[int]) -> Weight:
     """Highest weight of the dual representation: the dominant form of -lam."""
     dominant, _, _ = make_dominant(rd, tuple(-c for c in lam))
     return dominant
-
-
-def coxeter_element(rd: RootDatum) -> WeylElement:
-    """The product s_1 s_2 ... s_r of the simple reflections, in order.
-
-    Its matrix has multiplicative order exactly the Coxeter number; only
-    order and determinant are canonical, the word is a fixed choice.
-    """
-    if not rd.is_simple:
-        raise ValueError("Coxeter element is defined per simple factor")
-    m = IntMatrix.identity(rd.rank)
-    for i in range(1, rd.rank + 1):
-        m = m @ reflection_matrix(rd, i)
-    return WeylElement(m, (-1) ** rd.rank, tuple(range(1, rd.rank + 1)))
 

@@ -18,7 +18,8 @@ from coxchar.character import (
     rho_central_character,
     verify_principal_cocharacter,
 )
-from coxchar.errors import InternalCheckError
+from coxchar.errors import InternalCheckError, TheoremViolation
+from coxchar.lattice import IntMatrix, quotient
 from coxchar.oracle import char_at_coxeter_oracle
 from coxchar.rootdata import build
 from coxchar.weyl import duality_involution, make_dominant
@@ -392,11 +393,19 @@ class TestRhoCentralCharacter:
     def test_c_family_rule(self, n):
         # nontrivial iff n = 1, 2 mod 4: the (-1)^(n(n+1)/2) pattern
         cc = rho_central_character(build(f"C{n}"))
-        assert cc.is_trivial == (n % 4 in (0, 3))
+        assert (cc.order == 1) == (n % 4 in (0, 3))
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_b_family_always_nontrivial(self, n):
         assert rho_central_character(build(f"B{n}")).order == 2
+
+    def test_order_above_two_raises_with_its_witness(self):
+        # Z/4 with rho at the generator 1: twice rho is 2, not 0
+        center = quotient(1, IntMatrix.from_rows([[4]]))
+        assert center.invariant_factors == (4,) and center.project((1,)) == (1,)
+        with pytest.raises(TheoremViolation, match="order > 2 on the center of Z4") as exc:
+            character._rho_on_center(center, (1,), "Z4")
+        assert exc.value.witness == {"type": "Z4", "residues": [1]}
 
     def test_product(self):
         cc = rho_central_character(build("A1xC3"))
@@ -424,7 +433,7 @@ class TestCoxeterLiftOrder:
     def test_biconditional(self, t):
         rd = build(t)
         (rep,) = coxeter_lift_order(rd)
-        assert rep.matches_h == rho_central_character(rd).is_trivial
+        assert rep.matches_h == (rho_central_character(rd).order == 1)
         assert rep.lift_order in (rep.coxeter_number, 2 * rep.coxeter_number)
 
     def test_product_reports_per_factor(self):

@@ -6,12 +6,23 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from coxchar.lattice import IntMatrix, quotient, smith_normal_form
+from coxchar.lattice import IntMatrix, _smith, quotient
 from coxchar.rootdata import build
+from weyl_reference import identity, matmul
 
 
 def mat(rows):
     return IntMatrix.from_rows(rows)
+
+
+def transpose(m: IntMatrix) -> IntMatrix:
+    return IntMatrix.from_rows(zip(*m))
+
+
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """(U, D, V) of ``_smith`` as matrices."""
+    u, d, v = _smith(m)
+    return mat(u), mat(d), mat(v)
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
@@ -76,12 +87,12 @@ small_matrices = st.integers(1, 4).flatmap(
 
 class TestSmithNormalForm:
     def test_identity(self):
-        u, d, v = smith_normal_form(IntMatrix.identity(2))
-        assert d == IntMatrix.identity(2)
+        u, d, v = smith_normal_form(identity(2))
+        assert d == identity(2)
 
     def test_already_snf(self):
-        _, d, _ = smith_normal_form(IntMatrix.diagonal([2, 4]))
-        assert d == IntMatrix.diagonal([2, 4])
+        _, d, _ = smith_normal_form(mat([[2, 0], [0, 4]]))
+        assert d == mat([[2, 0], [0, 4]])
 
     def test_one_by_one(self):
         _, d, _ = smith_normal_form(mat([[2]]))
@@ -93,13 +104,13 @@ class TestSmithNormalForm:
         m = mat([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
         u, d, v = smith_normal_form(m)
         assert [d[i][i] for i in range(3)] == [2, 6, 12]
-        assert u @ m @ v == d
+        assert matmul(matmul(u, m), v) == d
 
     @given(small_matrices)
     def test_transform_relation(self, rows):
         m = mat(rows)
         u, d, v = smith_normal_form(m)
-        assert u @ m @ v == d
+        assert matmul(matmul(u, m), v) == d
         assert u.det() in (-1, 1)
         assert v.det() in (-1, 1)
         diag = [d[i][i] for i in range(min(d.rows, d.cols))]
@@ -130,7 +141,7 @@ class TestQuotient:
         assert g.order == 2
 
     def test_z2_mod_diag2(self):
-        g = quotient(2, IntMatrix.diagonal([2, 2]))
+        g = quotient(2, mat([[2, 0], [0, 2]]))
         assert g.invariant_factors == (2, 2)
 
     def test_weight_lattice_mod_twice_roots_rank1(self):
@@ -145,8 +156,8 @@ class TestQuotient:
             quotient(2, mat([[1], [0]]))
 
     def test_trivial_quotient(self):
-        g = quotient(2, IntMatrix.identity(2))
-        assert g.is_trivial and g.order == 1 and g.exponent == 1
+        g = quotient(2, identity(2))
+        assert g.invariant_factors == () and g.order == 1 and g.exponent == 1
         assert g.project((5, -3)) == ()
 
     @given(square3)
@@ -189,10 +200,6 @@ class TestQuotient:
 
 
 class TestIntMatrix:
-    def test_matmul_identity(self):
-        m = mat([[1, 2], [3, 4]])
-        assert m @ IntMatrix.identity(2) == m
-
     def test_det(self):
         assert mat([[1, 2], [3, 4]]).det() == -2
         assert mat([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]).det() == -144
@@ -200,15 +207,15 @@ class TestIntMatrix:
     def test_inverse_unimodular(self):
         m = mat([[2, 1], [1, 1]])
         assert m.det() == 1
-        assert m @ inverse_unimodular(m) == IntMatrix.identity(2)
+        assert matmul(m, inverse_unimodular(m)) == identity(2)
 
     def test_inverse_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
             inverse_unimodular(mat([[2, 0], [0, 2]]))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            mat([[1, 2]]) @ mat([[1, 2]])
+        with pytest.raises(ValueError, match="length mismatch"):
+            mat([[1, 2]]).apply((1, 2, 3))
 
 
 RANK_LE_8_AND_PRODUCTS = (
@@ -227,9 +234,9 @@ def test_section_map_is_the_exact_inverse(t):
     # factor, on both torsion presentations
     rd = build(t)
     for n in range(1, 13):
-        for basis in (rd.cartan.scale(n), rd.cartan.transpose().scale(n)):
+        for basis in (rd.cartan.scale(n), transpose(rd.cartan).scale(n)):
             u, d, _ = smith_normal_form(basis)
-            u_inv = inverse_unimodular(u).transpose()
+            u_inv = transpose(inverse_unimodular(u))
             kept = [u_inv[i] for i in range(rd.rank) if d[i][i] >= 2]
             g = quotient(rd.rank, basis)
             units = [[int(i == j) for j in range(len(kept))] for i in range(len(kept))]

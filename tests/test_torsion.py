@@ -26,7 +26,7 @@ def torsion_points(rd, n):
     """The coweight-side presentation P_vee / n Q_vee, built independently
     of ``duality_report``: in the fundamental-coweight basis the simple
     coroots are the columns of A^T, so it is ZZ^r modulo n * A^T."""
-    return quotient(rd.rank, rd.cartan.transpose().scale(n))
+    return quotient(rd.rank, IntMatrix.from_rows(zip(*rd.cartan)).scale(n))
 
 
 class TestPresentations:

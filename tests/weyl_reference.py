@@ -3,7 +3,9 @@
 The library never lists a Weyl group: the oracle walks one orbit along
 a parabolic chain and the census walks residue classes.  These helpers
 enumerate every element as an integer matrix, which is slow but plain,
-so the tests can check those walkers against a brute-force sum.  One
+so the tests can check those walkers against a brute-force sum.  The
+matrices, their identity and their product are built here, since the
+library keeps no matrix form of a Weyl group element.  One
 simple reflection of a weight, which the library applies only inside
 ``make_dominant``, is here too, and so is a second way to compute the
 oracle's histogram, by multiply-adds over 16-bit fields and a Counter.
@@ -14,14 +16,47 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter
-from typing import Iterator, Sequence
+from operator import mul
+from typing import Iterator, NamedTuple, Sequence
 
 from coxchar.errors import CapExceeded, InternalCheckError
 from coxchar.lattice import IntMatrix
 from coxchar.rootdata import RootDatum, Weight
-from coxchar.weyl import WeylElement, _reflect, reflection_matrix
+from coxchar.weyl import _reflect
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
+
+
+class WeylElement(NamedTuple):
+    matrix: IntMatrix
+    sign: int
+    word: tuple[int, ...]  # 1-based simple indices
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    return IntMatrix.from_rows([[sum(map(mul, row, col)) for col in zip(*b)] for row in a])
+
+
+def reflection_matrix(rd: RootDatum, i: int) -> IntMatrix:
+    """Matrix of the simple reflection s_i (1-based) on weight coordinates."""
+    j = i - 1
+    return IntMatrix.from_rows(
+        [[int(k == c) - (c == j) * rd.cartan[k][j] for c in range(rd.rank)] for k in range(rd.rank)]
+    )
+
+
+def coxeter_element(rd: RootDatum) -> IntMatrix:
+    """Matrix of the product s_1 s_2 ... s_r of the simple reflections."""
+    m = identity(rd.rank)
+    for i in range(1, rd.rank + 1):
+        m = matmul(m, reflection_matrix(rd, i))
+    return m
 
 
 def enumerate_weyl(
@@ -41,7 +76,7 @@ def enumerate_weyl(
         )
     n = rd.rank
     gens = [reflection_matrix(rd, i) for i in range(1, n + 1)]
-    ident = IntMatrix.identity(n)
+    ident = identity(n)
     seen = {ident}
     frontier = [WeylElement(ident, 1, ())]
     while frontier:
@@ -49,7 +84,7 @@ def enumerate_weyl(
         for el in frontier:
             yield el
             for i, g in enumerate(gens, start=1):
-                m = el.matrix @ g
+                m = matmul(el.matrix, g)
                 if m not in seen:
                     seen.add(m)
                     nxt.append(WeylElement(m, -el.sign, el.word + (i,)))
@@ -92,10 +127,10 @@ def reference_signed_orbit_counts(ev, mu: Sequence[int]) -> list[int]:
 
 def matrix_order(m: IntMatrix, bound: int = 10_000) -> int:
     """Multiplicative order of an integer matrix (raises past the bound)."""
-    ident = IntMatrix.identity(m.rows)
+    ident = identity(m.rows)
     p = m
     for k in range(1, bound + 1):
         if p == ident:
             return k
-        p = p @ m
+        p = matmul(p, m)
     raise InternalCheckError(f"matrix order exceeds bound {bound}")
