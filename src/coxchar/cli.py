@@ -180,7 +180,7 @@ def cmd_verify(args) -> int:
 
 def cmd_torsion(args) -> int:
     rd = build(args.type)
-    rep = duality_report(rd, args.n, trials=args.trials, seed=args.seed)
+    rep = duality_report(rd, args.n)
     orbits = classify_regular_orbits(rd, args.n)
     _emit({"duality": rep.as_dict(), "orbits": orbits.as_dict()})
     return EXIT_OK if rep.passed else EXIT_DIAGNOSTIC
@@ -281,9 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("torsion", help="torsion duality and regular-orbit census at level n")
     p.add_argument("type")
     p.add_argument("n", type=int)
-    p.add_argument("--trials", type=int, default=1000,
-                   help="random trials that name a witness when the exact certificate fails")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_torsion)
 
     p = sub.add_parser("check-all", help="verification battery over a list of types")

@@ -45,32 +45,6 @@ class IntMatrix(tuple):
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix(tuple(k * x for x in row) for row in self)
 
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        if n == 0:
-            return 1
-        a = [list(row) for row in self]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
 
 def _swap_rows(a: list[list[int]], i: int, j: int) -> None:
     a[i], a[j] = a[j], a[i]
@@ -174,13 +148,6 @@ def _smith(m: IntMatrix) -> tuple[list[list[int]], ...]:
     return u, a, v
 
 
-def apply_mod(
-    rows: Sequence[Sequence[int]], moduli: Sequence[int], v: Sequence[int]
-) -> tuple[int, ...]:
-    """Each row paired with v, reduced mod the matching modulus."""
-    return tuple(sum(map(mul, row, v)) % d for row, d in zip(rows, moduli))
-
-
 class FiniteAbelianGroup(NamedTuple):
     """A quotient ZZ^rank / L in invariant-factor form, with maps.
 
@@ -208,7 +175,8 @@ class FiniteAbelianGroup(NamedTuple):
     def project(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.ambient_rank:
             raise ValueError("vector length mismatch")
-        return apply_mod(self.u_rows, self.invariant_factors, v)
+        moduli = self.invariant_factors
+        return tuple(sum(map(mul, row, v)) % d for row, d in zip(self.u_rows, moduli))
 
     def section(self, residues: Sequence[int]) -> tuple[int, ...]:
         """An ambient vector mapping onto the given residue tuple.

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 import sys
 from collections import Counter
+from functools import cache
 from math import prod
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -259,6 +260,7 @@ class SimpleFactor(NamedTuple):
         return (1,) * self.rank
 
 
+@cache
 def _build_factor(family: str, rank: int) -> SimpleFactor:
     a = _cartan(family, rank)
     cartan = IntMatrix.from_rows(a)
@@ -271,10 +273,6 @@ def _build_factor(family: str, rank: int) -> SimpleFactor:
     if h != 1 + max(p.height for p in positive):
         raise AssertionError("Coxeter number disagrees with highest-root height")
 
-    center = quotient(rank, cartan)
-    if center.order != abs(cartan.det()):
-        raise AssertionError("|P/Q| != |det(Cartan)|")
-
     by_coht = sorted(positive, key=lambda p: p.coroot_height)
     highest = by_coht[-1]
     if highest.coroot_height != h - 1:
@@ -285,6 +283,10 @@ def _build_factor(family: str, rank: int) -> SimpleFactor:
     # fundamental alcove: x_j >= 1 and <x, gamma_vee> < h force x = rho
     if min(highest.coroot) < 1:
         raise AssertionError("highest coroot has a zero coordinate")
+    # 0 and the minuscule omega_i, those with c_i = 1, represent P/Q (Bourbaki VIII.7.3)
+    center = quotient(rank, cartan)
+    if center.order != 1 + highest.coroot.count(1):
+        raise AssertionError("|P/Q| != 1 + #{i : c_i = 1} for the highest coroot c")
 
     two_rho_check = tuple(
         sum(p.coroot[j] for p in positive) for j in range(rank)
@@ -376,18 +378,10 @@ class RootDatum(NamedTuple):
         return lam
 
 
-_FACTOR_CACHE: dict[tuple[str, int], SimpleFactor] = {}
-
-
 def build(type_string: str) -> RootDatum:
     """Construct the root datum for a Cartan type string like ``"A2xB3"``."""
     ct = parse_cartan_type(type_string)
-    factors = []
-    for fam, rank in ct.factors:
-        key = (fam, rank)
-        if key not in _FACTOR_CACHE:
-            _FACTOR_CACHE[key] = _build_factor(fam, rank)
-        factors.append(_FACTOR_CACHE[key])
+    factors = [_build_factor(fam, rank) for fam, rank in ct.factors]
     total = sum(f.rank for f in factors)
     offsets = []
     pos = 0

@@ -34,7 +34,6 @@ failing trial as the witness.
 from __future__ import annotations
 
 import random
-from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded
@@ -215,12 +214,13 @@ def classify_regular_orbits(rd: RootDatum, n: int) -> OrbitReport:
     constant on orbits, so the orbits of image order n are the alcove
     points with gcd(n, mu) = 1.  Moebius inversion counts them:
     sum over d | n of moeb(d) * prod_k #{mu >= 1 : <mu, c_k> <= (n - 1) // d}.
-    [rho] is in the distinguished orbit when it is regular, has image
-    order n and exactly one orbit has image order n.  At n = h the alcove
-    holds rho alone, so exactly one regular orbit has image order h and
-    it contains [rho].  Nothing is enumerated: one coin-change table per
-    factor (``_alcove_points``), O(r * n).  Raises ValueError for n < 1
-    and CapExceeded when r * n exceeds _TABLE_LIMIT.
+    [rho] always has image order n, since rho = (1, ..., 1); it is in
+    the distinguished orbit when it is regular and exactly one orbit has
+    image order n.  At n = h the alcove holds rho alone, so exactly one
+    regular orbit has image order h and it contains [rho].  Nothing is
+    enumerated: one coin-change table per factor (``_alcove_points``),
+    O(r * n).  Raises ValueError for n < 1 and CapExceeded when r * n
+    exceeds _TABLE_LIMIT.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -249,5 +249,5 @@ def classify_regular_orbits(rd: RootDatum, n: int) -> OrbitReport:
         regular_classes=rd.weyl_order * points[n - 1],
         regular_orbits=points[n - 1],
         regular_orbits_with_image_order_n=distinguished,
-        rho_in_distinguished_orbit=rho_regular and gcd(n, *rho) == 1 and distinguished == 1,
+        rho_in_distinguished_orbit=rho_regular and distinguished == 1,
     )

@@ -264,7 +264,7 @@ CLI_OPTIONS = {
     "fs": [],
     "info": [],
     "table": ["--format", "--max-coord"],
-    "torsion": ["--seed", "--trials"],
+    "torsion": [],
     "verify": ["--max-coord", "--random", "--seed", "--weyl-cap"],
 }
 

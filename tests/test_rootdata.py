@@ -2,8 +2,10 @@ from math import factorial
 
 import pytest
 
+from coxchar import rootdata
 from coxchar.lattice import IntMatrix
 from coxchar.rootdata import RootPair, build, pairing, parse_cartan_type
+from weyl_reference import det
 
 ALL_SIMPLE = (
     [f"A{n}" for n in range(1, 9)]
@@ -99,6 +101,15 @@ class TestCenters:
     def test_a_family(self, n):
         assert build(f"A{n}").center.invariant_factors == (n + 1,)
 
+    @pytest.mark.parametrize("family, rank", [("A", 2), ("D", 4), ("E", 8)])
+    def test_build_rejects_a_center_of_the_wrong_order(self, monkeypatch, family, rank):
+        # the Smith form of 2A has order 2^r |P/Q|, never 1 + #{i : c_i = 1};
+        # __wrapped__ runs the build past the factor cache
+        smith = rootdata.quotient
+        monkeypatch.setattr(rootdata, "quotient", lambda r, basis: smith(r, basis.scale(2)))
+        with pytest.raises(AssertionError, match=r"\|P/Q\| != 1 \+ #\{i : c_i = 1\}"):
+            rootdata._build_factor.__wrapped__(family, rank)
+
 
 class TestInvariants:
     @pytest.mark.parametrize("t", ALL_SIMPLE)
@@ -117,7 +128,7 @@ class TestInvariants:
     @pytest.mark.parametrize("t", ALL_SIMPLE)
     def test_center_order_is_det_cartan(self, t):
         rd = build(t)
-        assert rd.center.order == abs(rd.cartan.det())
+        assert rd.center.order == abs(det(rd.cartan))
 
     @pytest.mark.parametrize("t", ALL_SIMPLE)
     def test_highest_coroot_height(self, t):

@@ -4,11 +4,12 @@ The library never lists a Weyl group: the oracle walks one orbit along
 a parabolic chain and the census walks residue classes.  These helpers
 enumerate every element as an integer matrix, which is slow but plain,
 so the tests can check those walkers against a brute-force sum.  The
-matrices, their identity and their product are built here, since the
-library keeps no matrix form of a Weyl group element.  One
-simple reflection of a weight, which the library applies only inside
-``make_dominant``, is here too, and so is a second way to compute the
-oracle's histogram, by multiply-adds over 16-bit fields and a Counter.
+matrices, their identity, product and determinant are built here,
+since the library keeps no matrix form of a Weyl group element and
+computes no determinant.  One simple reflection of a weight, which the
+library applies only inside ``make_dominant``, is here too, and so is a
+second way to compute the oracle's histogram, by multiply-adds over
+16-bit fields and a Counter.
 """
 
 from __future__ import annotations
@@ -41,6 +42,34 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     return IntMatrix.from_rows([[sum(map(mul, row, col)) for col in zip(*b)] for row in a])
+
+
+def det(m: IntMatrix) -> int:
+    """Determinant by fraction-free (Bareiss) elimination: the tests' own
+    reference for |P/Q| = |det A|, which the library does not compute."""
+    n = m.rows
+    if n != m.cols:
+        raise ValueError("determinant of non-square matrix")
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def reflection_matrix(rd: RootDatum, i: int) -> IntMatrix:
