@@ -30,12 +30,15 @@ blocks d(previous orbit) over a small tree of minimal coset
 representatives d.  Each tree edge is a simple reflection, of det -1:
 it reflects a block with one kernel call per sign class and swaps the
 classes.  The pairings of mu with a sign class are the same kernel with
-m_i = mu_i, and the Weyl sum is one ``bytes.count`` per residue and
+m_i = mu_i.  w0(rho_check) = -rho_check, so counts[-k] = det(w0) *
+counts[k]: the denominator counts all N residues and reads det(w0)
+there, a numerator only 0..N/2, one ``bytes.count`` per residue and
 class.  The build carries each block's exact coordinate sums alongside
 its residues, and raises on a start that is not strictly dominant, on a
 reflected column whose residues disagree with its block's exact sum
 mod N, on an orbit whose size is not |W|, and on an orbit that does not
-sum to 0.
+sum to 0; the histograms raise on a denominator not mirrored with one
+sign and, if det(w0) = -1, on a numerator that counts at k = -k mod N.
 """
 
 from __future__ import annotations
@@ -194,7 +197,7 @@ class CoxeterEvaluation:
 
     __slots__ = (
         "factor", "conductor", "weight_exponents",
-        "_orbit", "_denominator", "_denominator_shadow",
+        "_orbit", "_denominator", "_denominator_shadow", "_mirror",
     )
 
     def __init__(self, factor: SimpleFactor, conductor: int, weight_exponents: tuple[int, ...]):
@@ -204,6 +207,7 @@ class CoxeterEvaluation:
         self._orbit: tuple[tuple[bytes, ...], tuple[bytes, ...]] | None = None
         self._denominator: CyclotomicInt | None = None
         self._denominator_shadow = 0j
+        self._mirror = 0  # det(w0), read from the denominator's histogram
 
     @classmethod
     def for_factor(cls, f: SimpleFactor) -> "CoxeterEvaluation":
@@ -235,32 +239,53 @@ class CoxeterEvaluation:
         det(w) = det(w^-1), so this is the histogram of <mu, v> mod N
         over the signed orbit: per sign class, ``_byte_residues`` puts
         each point's pairing mod N in a byte and ``bytes.count`` counts
-        every residue.
+        residues; once the denominator has read det(w0), only k <= N/2, as
+        counts[-k] = det(w0) * counts[k] (so k = -k counts 0 if det(w0) = -1).
         """
-        n = self.conductor
+        n, eps = self.conductor, self._mirror
         plus, minus = (
             _byte_residues(n, zip(mu, cols), len(cols[0])) for cols in self._signed_orbit()
         )
-        return [plus.count(k) - minus.count(k) for k in range(n)]
+        head = [plus.count(k) - minus.count(k) for k in range(n // 2 + 1 if eps else n)]
+        for k in (0, n // 2) if eps < 0 else ():
+            if head[k] and 2 * k % n == 0:  # residue k is its own mirror
+                raise InternalCheckError(
+                    f"residue {k} = -{k} mod {n} of {self.factor.name} counts {head[k]}, not 0",
+                    witness={"factor": self.factor.name, "conductor": n, "mu": list(mu),
+                             "k": k, "count": head[k]},
+                )
+        return head + [eps * c for c in reversed(head[1:(n + 1) // 2])] if eps else head
 
     def numerator(self, lam: Sequence[int]) -> tuple[CyclotomicInt, complex]:
         """Exact Weyl numerator at the Coxeter element, with its float shadow."""
-        mu = tuple(c + 1 for c in lam)
-        counts = self.signed_orbit_counts(mu)
-        exact = CyclotomicInt.from_poly(self.conductor, counts)
+        return self._weyl_sum(self.signed_orbit_counts([c + 1 for c in lam]))
+
+    def _weyl_sum(self, counts: list[int]) -> tuple[CyclotomicInt, complex]:
         z = cmath.exp(2j * cmath.pi / self.conductor)
         shadow = sum(c * z**k for k, c in enumerate(counts) if c) or 0j
-        return exact, shadow
+        return CyclotomicInt.from_poly(self.conductor, counts), shadow
 
     def denominator(self) -> tuple[CyclotomicInt, complex]:
-        """The Weyl sum at lambda = 0, cached."""
+        """The Weyl sum at lambda = 0, cached; it reads det(w0) from its mirror."""
         if self._denominator is None:
-            exact, shadow = self.numerator((0,) * self.factor.rank)
+            name, n = self.factor.name, self.conductor
+            counts = self.signed_orbit_counts([1] * self.factor.rank)
+            exact, shadow = self._weyl_sum(counts)
             if not exact:
                 raise InternalCheckError(
-                    f"Weyl denominator of {self.factor.name} vanished at the Coxeter element",
-                    witness={"factor": self.factor.name, "conductor": self.conductor},
+                    f"Weyl denominator of {name} vanished at the Coxeter element",
+                    witness={"factor": name, "conductor": n},
                 )
+            mirror = counts[:1] + counts[:0:-1]  # mirror[k] = counts[-k]
+            signs = [s for s in (1, -1) if mirror == [s * c for c in counts]]
+            if not signs:  # the counts are not all 0, so at most one sign fits
+                k = max(next(k for k in range(n) if mirror[k] != s * counts[k]) for s in (1, -1))
+                raise InternalCheckError(
+                    f"Weyl denominator of {name} is not mirrored mod {n} at residue {k}",
+                    witness={"factor": name, "conductor": n, "k": k, "count": counts[k],
+                             "mirror_count": mirror[k]},
+                )
+            self._mirror = signs[0]
             self._denominator = exact
             self._denominator_shadow = shadow
         return self._denominator, self._denominator_shadow
@@ -301,8 +326,8 @@ def char_at_coxeter_oracle(
     value = 1
     for k, f in enumerate(rd.factors):
         ev = _evaluation(f)
+        den, den_shadow = ev.denominator()  # first: it reads det(w0)
         num, num_shadow = ev.numerator(lam[rd.factor_slice(k)])
-        den, den_shadow = ev.denominator()
         if not num:
             q = 0
         elif num == den:

@@ -135,6 +135,9 @@ class TestPacking:
 
 
 DIFFERENTIAL_TYPES = [t for t in SIMPLE_TYPES_TO_RANK_8 if build(t).weyl_order <= 10**5] + ["D7"]
+# (N, det(w0)) of types that cover both signs of the mirror and both
+# parities of N; E6 is the benchmark's hot type
+MIRRORS = {"E6": (36, 1), "A4": (25, 1), "A2": (9, -1), "B3": (12, -1)}
 
 
 class TestByteResidues:
@@ -180,8 +183,95 @@ class TestByteResidues:
             tuple(n * rng.randint(-2, 2) for _ in range(r)),  # every m = 0
             tuple((0, -1, n, -n - 3, 2 * n + 1)[i % 5] for i in range(r)),
         ] + [tuple(rng.randint(-2 * n, 2 * n) for _ in range(r)) for _ in range(3)]
-        for mu in mus:
-            assert ev.signed_orbit_counts(mu) == reference_signed_orbit_counts(ev, mu)
+        full = [ev.signed_orbit_counts(mu) for mu in mus]  # every residue counted
+        ev.denominator()  # reads det(w0): from here on only residues 0..N/2 are counted
+        if t in MIRRORS:
+            assert (n, ev._mirror) == MIRRORS[t]
+        for mu, counts in zip(mus, full):
+            assert ev.signed_orbit_counts(mu) == counts == reference_signed_orbit_counts(ev, mu)
+
+
+def _first_mirror_break(counts):
+    """The first k at which neither counts[-k] = counts[k] nor
+    counts[-k] = -counts[k] has held at every residue up to k, or None
+    if one of the two holds throughout."""
+    n = len(counts)
+    breaks = [next((k for k in range(n) if counts[-k] != s * counts[k]), None) for s in (1, -1)]
+    return None if None in breaks else max(breaks)
+
+
+def _with_byte(ev, sign_class, coord, pos, value):
+    """Replace one residue byte of the cached orbit."""
+    orbit = [list(cols) for cols in ev._signed_orbit()]
+    col = bytearray(orbit[sign_class][coord])
+    col[pos] = value
+    orbit[sign_class][coord] = bytes(col)
+    ev._orbit = tuple(tuple(cols) for cols in orbit)
+
+
+# every simple type to rank 8 the oracle takes at its default caps
+ORACLE_TYPES = [
+    t for t in SIMPLE_TYPES_TO_RANK_8
+    if build(t).weyl_order <= oracle.DEFAULT_WEYL_CAP
+    and CoxeterEvaluation.for_factor(build(t).factors[0]).conductor <= MAX_CONDUCTOR
+]
+
+
+class TestMirror:
+    def test_oracle_types_at_default_caps(self):
+        assert ORACLE_TYPES == (
+            [f"A{r}" for r in range(1, 9)]  # A8: N = 81, |W| = 362,880
+            + [f"{x}{r}" for x in "BC" for r in range(2, 8)]
+            + [f"D{r}" for r in range(4, 8)]
+            + ["E6", "E7", "F4", "G2"]
+        )
+        for t in ("B8", "C8", "D8"):
+            with pytest.raises(CapExceeded):
+                char_at_coxeter_oracle(build(t), (0,) * 8)
+
+    @pytest.mark.parametrize("t", ORACLE_TYPES)
+    def test_sign_read_from_the_denominator_is_det_w0(self, t):
+        # det(w0) = (-1)^l(w0), and l(w0) = |positive roots|
+        f = build(t).factors[0]
+        ev = oracle._evaluation(f)
+        ev.denominator()
+        assert ev._mirror == (-1) ** len(f.positive)
+
+    @pytest.mark.parametrize("t, sign_class", [("E6", 0), ("E6", 1), ("A2", 0), ("A2", 1)])
+    def test_unmirrored_denominator_is_refused(self, t, sign_class):
+        # moving one point's rho-pairing up by one breaks the mirror
+        f = build(t).factors[0]
+        ev = CoxeterEvaluation.for_factor(f)
+        n = ev.conductor
+        col = ev._signed_orbit()[sign_class][0]
+        _with_byte(ev, sign_class, 0, 0, (col[0] + 1) % n)
+        counts = reference_signed_orbit_counts(ev, (1,) * f.rank)
+        k = _first_mirror_break(counts)
+        assert k is not None
+        with pytest.raises(InternalCheckError, match="not mirrored") as exc:
+            ev.denominator()
+        assert exc.value.witness == {"factor": t, "conductor": n, "k": k, "count": counts[k],
+                                     "mirror_count": counts[-k]}
+
+    @pytest.mark.parametrize("target", [0, 6])
+    @pytest.mark.parametrize("sign_class", [0, 1])
+    def test_numerator_counting_a_self_mirrored_residue_is_refused(self, target, sign_class):
+        # B3: N = 12 and det(w0) = -1, so residues 0 and 6 must count 0;
+        # one point of a class moved onto the target residue counts +-1
+        f = build("B3").factors[0]
+        ev = CoxeterEvaluation.for_factor(f)
+        ev.denominator()
+        assert (ev.conductor, ev._mirror) == (12, -1)
+        mu = (1, 2, 1)
+        cols = ev._signed_orbit()[sign_class]
+        pos = next(p for p in range(len(cols[0]))
+                   if sum(m * c[p] for m, c in zip(mu, cols)) % 12 not in (0, 6))
+        pairing = sum(m * c[pos] for m, c in zip(mu, cols))
+        _with_byte(ev, sign_class, 0, pos, (cols[0][pos] + target - pairing) % 12)
+        with pytest.raises(InternalCheckError, match=f"residue {target} = -{target} mod 12") as exc:
+            ev.signed_orbit_counts(mu)
+        assert exc.value.witness == {"factor": "B3", "conductor": 12, "mu": list(mu),
+                                     "k": target, "count": 1 - 2 * sign_class}
 
 
 @pytest.fixture
