@@ -43,7 +43,10 @@ def _poly_mul(p: Sequence, q: Sequence) -> list:
 
 def _poly_divmod_monic(num: Sequence, den: Sequence) -> tuple[list, list]:
     """Divide by a monic polynomial; exact over the coefficient ring."""
-    assert den and den[-1] == 1, "divisor must be monic"
+    if not den or den[-1] != 1:
+        raise InternalCheckError(
+            f"divisor {list(den)} is not monic", witness={"divisor": list(den)}
+        )
     rem = list(num)
     deg_d = len(den) - 1
     quo = [0] * max(len(rem) - deg_d, 0)
@@ -72,7 +75,11 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if n % d == 0:
             den = _poly_mul(den, cyclotomic_polynomial(d))
     quo, rem = _poly_divmod_monic(num, den)
-    assert not rem, "cyclotomic division left a remainder"
+    if rem:
+        raise InternalCheckError(
+            f"x^{n} - 1 divided by the Phi_d of its proper divisors d left the remainder {rem}",
+            witness={"n": n, "remainder": rem},
+        )
     return tuple(quo)
 
 

@@ -15,6 +15,8 @@ from math import prod
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
+from .errors import InternalCheckError
+
 
 class IntMatrix(tuple):
     """Immutable integer matrix: the tuple of its row tuples."""
@@ -139,11 +141,14 @@ def _smith(m: IntMatrix) -> tuple[list[list[int]], ...]:
             u[t] = [-x for x in u[t]]
 
     diag = [a[t][t] for t in range(min(nrows, ncols))]
-    for x, y in zip(diag, diag[1:]):
-        if x == 0 and y != 0:
-            raise AssertionError("SNF: zero before nonzero on diagonal")
-        if x != 0 and y % x != 0:
-            raise AssertionError("SNF: divisibility chain broken")
+    for t, (x, y) in enumerate(zip(diag, diag[1:])):
+        if (y % x if x else y) != 0:  # 0 divides only 0
+            rows = [list(row) for row in m]
+            raise InternalCheckError(
+                f"Smith form of {rows}: d_{t + 1} = {x} does not divide d_{t + 2} = {y}",
+                witness={"matrix": rows, "diagonal": diag,
+                         "identity": f"d_{t + 1} divides d_{t + 2}", "lhs": x, "rhs": y},
+            )
 
     return u, a, v
 

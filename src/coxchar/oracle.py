@@ -4,41 +4,50 @@
 falsifier for the fast path in ``character``.  The evaluation point is
 t = exp(2 pi i rho_check / h), the canonical representative of the
 Coxeter class; a weight nu takes the value exp(2 pi i <nu, rho_check> / h)
-there, which the conductor N = h * e (e the exponent of the center P/Q)
-turns into an integer power of zeta_N.  Numerator and denominator are
-alternating sums over the full Weyl group, accumulated exactly in
-ZZ[zeta_N]; the character is their quotient in QQ(zeta_N) and must come
-out as a literal -1, 0 or +1.  Any other value raises with a full
-witness: the oracle can falsify the theory, it never assumes it.  The
-denominator is the same Weyl sum at lambda = 0, not the product formula
-the fast path rests on.
+there.  t has order N = h * d in the simply connected group, d in {1, 2}
+the order of [rho_check] in P_check / Q_check, and d * <nu, rho_check> is
+an integer, so every value is an integer power of zeta_N.  d is read at
+the minuscule nodes, whose weights represent P/Q with 0; the exponents
+d * <omega_k, rho_check> at all the other nodes must then be whole.
+Numerator and denominator are alternating sums over the full Weyl group,
+accumulated exactly in ZZ[zeta_N]; the character is their quotient in
+QQ(zeta_N) and must come out as a literal -1, 0 or +1.  Any other value
+raises with a full witness: the oracle can falsify the theory, it never
+assumes it.  The denominator is the same Weyl sum at lambda = 0, not the
+product formula the fast path rests on.
 
 Because <w(mu), rho_check> = <mu, w^-1(rho_check)>, the exponents of a
 Weyl sum are the pairings of mu with the signed W-orbit of
-e * rho_check, which does not depend on lambda.  Each factor builds that
-orbit once, on first use, in the one format it is read in: its det +1
-and its det -1 points, each class one byte string per coordinate, a
-byte per point holding its residue mod N.  One kernel,
+d * rho_check, which does not depend on lambda.  Each factor builds
+that orbit once, on first use, in the one format it is read in: its
+det +1 and its det -1 points, each class one byte string per
+coordinate, a byte per point holding its residue mod N.  One kernel,
 ``_byte_residues``, computes sum_i m_i * col_i mod N bytewise: each
 column goes through a 256-byte translate table of b -> m_i * b mod N,
 the results are added as big integers, and a "mod N" table folds the
 sum back whenever one more term could carry out of a byte.  Two
-residues must add up within a byte, so N <= 128; a larger N is refused
-before any orbit is built.  The build walks the chain of parabolic
-subgroups W_{<1} < W_{<2} < ... < W: each orbit is the union of the
-blocks d(previous orbit) over a small tree of minimal coset
-representatives d.  Each tree edge is a simple reflection, of det -1:
-it reflects a block with one kernel call per sign class and swaps the
-classes.  The pairings of mu with a sign class are the same kernel with
-m_i = mu_i.  w0(rho_check) = -rho_check, so counts[-k] = det(w0) *
-counts[k]: the denominator counts all N residues and reads det(w0)
-there, a numerator only 0..N/2, one ``bytes.count`` per residue and
-class.  The build carries each block's exact coordinate sums alongside
-its residues, and raises on a start that is not strictly dominant, on a
-reflected column whose residues disagree with its block's exact sum
-mod N, on an orbit whose size is not |W|, and on an orbit that does not
-sum to 0; the histograms raise on a denominator not mirrored with one
-sign and, if det(w0) = -1, on a numerator that counts at k = -k mod N.
+residues must add up within a byte, so N <= 128, and the orbit takes
+|W| * (rank + 1) bytes with its build, so at most
+``ORBIT_BYTE_BUDGET``; either refusal comes before any orbit is built.
+The build walks the chain of parabolic subgroups W_{<1} < W_{<2} < ...
+< W: each orbit is the union of the blocks u(previous orbit) over a
+small tree of minimal coset representatives u.  Each tree edge is a
+simple reflection, of det -1: it reflects a block with one kernel call
+per sign class and swaps the classes.  The pairings of mu with a sign
+class are the same kernel with m_i = mu_i, run on ``COUNT_SLICE`` bytes
+of the columns at a time, and ``_signed_histogram`` counts each slice
+eight residues at a time: a translate table sets bit k - base of a byte
+holding residue k, and one masked ``int.bit_count`` per residue counts
+it (columns shorter than ``BIT_COUNT_FROM`` take one ``bytes.count``
+per residue, which is cheaper there).  w0(rho_check) = -rho_check, so
+counts[-k] = det(w0) * counts[k]: the denominator counts all N residues
+and reads det(w0) there, a numerator only 0..N/2.  The build carries
+each block's exact coordinate sums alongside its residues, and raises
+on a start that is not strictly dominant, on a reflected column whose
+residues disagree with its block's exact sum mod N, on an orbit whose
+size is not |W|, and on an orbit that does not sum to 0; the histograms
+raise on a denominator not mirrored with one sign and, if det(w0) = -1,
+on a numerator that counts at k = -k mod N.
 """
 
 from __future__ import annotations
@@ -55,6 +64,13 @@ from .rootdata import RootDatum, SimpleFactor
 DEFAULT_WEYL_CAP = 5_000_000
 FLOAT_SHADOW_TOLERANCE = 1e-6
 MAX_CONDUCTOR = 128  # two residues mod N must add up within a byte
+# The orbit of a factor is |W| * rank residue bytes, and the join of its
+# last level allocates one more column of |W| bytes.  64 MiB holds every
+# type under the default Weyl cap (A9 needs 36.3 MB, E7 23.2 MB) and
+# refuses A10 (439 MB), B8 (93 MB) and E8 (6.3 GB) before any allocation.
+ORBIT_BYTE_BUDGET = 1 << 26
+COUNT_SLICE = 1 << 15  # bytes of a residue column counted at a time
+BIT_COUNT_FROM = 1 << 12  # bytes.count is cheaper on shorter columns
 
 
 def _coset_tree(cartan: IntMatrix, k: int) -> list[tuple[int, int]]:
@@ -192,6 +208,52 @@ def _byte_residues(n: int, terms: Iterable[tuple[int, bytes]], size: int) -> byt
     return total.to_bytes(size, "little").translate(fold)
 
 
+@lru_cache(maxsize=None)
+def _one_hot_table(base: int) -> bytes:
+    """The translate table b -> 2^(b - base) for base <= b < base + 8,
+    and b -> 0 for every other byte."""
+    return bytes(1 << b - base if 0 <= b - base < 8 else 0 for b in range(256))
+
+
+@lru_cache(maxsize=None)
+def _bit_masks() -> tuple[int, ...]:
+    """Bit t of every byte of a ``COUNT_SLICE``-byte integer, t = 0..7."""
+    ones = int.from_bytes(b"\x01" * COUNT_SLICE, "little")
+    return tuple(ones << t for t in range(8))
+
+
+def _signed_histogram(
+    n: int, mu: Sequence[int], orbit: tuple[tuple[bytes, ...], ...], top: int
+) -> list[int]:
+    """counts[k], 0 <= k < top: the points of the det +1 class of the
+    orbit with sum_i mu_i * col_i = k mod n, less those of the det -1 class.
+
+    Columns shorter than ``BIT_COUNT_FROM`` bytes are counted by one
+    ``bytes.count`` per residue, which costs less there.  Longer ones go
+    ``COUNT_SLICE`` bytes at a time, so nothing the size of a whole
+    column is allocated: ``_byte_residues`` puts the slice's pairings
+    mod n in bytes, and they are counted eight residues at a time.  One
+    translate sets bit k - base in each byte holding a residue k in
+    base..base+7, the result becomes one integer, and the bit_count of
+    that integer masked to bit k - base of every byte is the number of k.
+    """
+    size = len(orbit[0][0])  # |W| / 2 in each class
+    if size < BIT_COUNT_FROM:
+        plus, minus = (_byte_residues(n, zip(mu, cols), size) for cols in orbit)
+        return [plus.count(k) - minus.count(k) for k in range(top)]
+    masks = _bit_masks()
+    counts = [0] * top
+    for sign, cols in zip((1, -1), orbit):
+        for start in range(0, size, COUNT_SLICE):
+            piece = [c[start:start + COUNT_SLICE] for c in cols]
+            residues = _byte_residues(n, zip(mu, piece), len(piece[0]))
+            for base in range(0, top, 8):
+                x = int.from_bytes(residues.translate(_one_hot_table(base)), "little")
+                for k, mask in zip(range(base, top), masks):
+                    counts[k] += sign * (x & mask).bit_count()
+    return counts
+
+
 class CoxeterEvaluation:
     """Evaluation data at the Coxeter element of one simple factor."""
 
@@ -202,8 +264,8 @@ class CoxeterEvaluation:
 
     def __init__(self, factor: SimpleFactor, conductor: int, weight_exponents: tuple[int, ...]):
         self.factor = factor
-        self.conductor = conductor  # N = h * e, e the exponent of P/Q
-        self.weight_exponents = weight_exponents  # e * <omega_k, rho_check>, all integral
+        self.conductor = conductor  # N = h * d, d the order of [rho_check] in P_check/Q_check
+        self.weight_exponents = weight_exponents  # d * <omega_k, rho_check>, all integral
         self._orbit: tuple[tuple[bytes, ...], tuple[bytes, ...]] | None = None
         self._denominator: CyclotomicInt | None = None
         self._denominator_shadow = 0j
@@ -211,11 +273,15 @@ class CoxeterEvaluation:
 
     @classmethod
     def for_factor(cls, f: SimpleFactor) -> "CoxeterEvaluation":
-        e = f.center.exponent
-        n = f.coxeter_number * e
+        # <lambda, rho_check> mod 1 is a character of P/Q, which 0 and the
+        # minuscule omega_i (c_i = 1 in the highest coroot) represent: d is
+        # 2 if it is 1/2 at one of them; every other exponent must then be whole
+        minuscule = [t for c, t in zip(f.highest_coroot.coroot, f.two_rho_check) if c == 1]
+        d = 2 if any(t % 2 for t in minuscule) else 1
+        n = f.coxeter_number * d
         exps = []
         for coord in f.two_rho_check:
-            v, odd = divmod(e * coord, 2)
+            v, odd = divmod(d * coord, 2)
             if odd:
                 raise InternalCheckError(
                     f"conductor {n} does not clear the exponent denominators of {f.name}",
@@ -227,26 +293,22 @@ class CoxeterEvaluation:
 
     def _signed_orbit(self) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
         """The det +1 and det -1 residue columns of the signed W-orbit of
-        e * rho_check mod N; built on the first call and cached."""
+        d * rho_check mod N; built on the first call and cached."""
         if self._orbit is None:
             self._orbit = _build_signed_orbit(self.factor, self.weight_exponents, self.conductor)
         return self._orbit
 
     def signed_orbit_counts(self, mu: Sequence[int]) -> list[int]:
-        """counts[k] = sum of det(w) over w with e * <w(mu), rho_check> = k mod N.
+        """counts[k] = sum of det(w) over w with d * <w(mu), rho_check> = k mod N.
 
-        e * <w(mu), rho_check> = <mu, v> for v = w^-1(e * rho_check), and
+        d * <w(mu), rho_check> = <mu, v> for v = w^-1(d * rho_check), and
         det(w) = det(w^-1), so this is the histogram of <mu, v> mod N
-        over the signed orbit: per sign class, ``_byte_residues`` puts
-        each point's pairing mod N in a byte and ``bytes.count`` counts
-        residues; once the denominator has read det(w0), only k <= N/2, as
+        over the signed orbit, which ``_signed_histogram`` counts; once
+        the denominator has read det(w0), only k <= N/2, as
         counts[-k] = det(w0) * counts[k] (so k = -k counts 0 if det(w0) = -1).
         """
         n, eps = self.conductor, self._mirror
-        plus, minus = (
-            _byte_residues(n, zip(mu, cols), len(cols[0])) for cols in self._signed_orbit()
-        )
-        head = [plus.count(k) - minus.count(k) for k in range(n // 2 + 1 if eps else n)]
+        head = _signed_histogram(n, mu, self._signed_orbit(), n // 2 + 1 if eps else n)
         for k in (0, n // 2) if eps < 0 else ():
             if head[k] and 2 * k % n == 0:  # residue k is its own mirror
                 raise InternalCheckError(
@@ -309,6 +371,12 @@ def _check_cap(rd: RootDatum, cap: int | None) -> None:
                 f"oracle keeps residues mod N in bytes: the conductor N = {n} of {f.name} "
                 f"exceeds {MAX_CONDUCTOR}; use the fast path"
             )
+    size = sum(f.weyl_order * (f.rank + 1) for f in rd.factors)
+    if size > ORBIT_BYTE_BUDGET:
+        raise CapExceeded(
+            f"oracle keeps the Weyl orbit of every factor in memory: {size} bytes for "
+            f"{rd.type_string} exceed the budget of {ORBIT_BYTE_BUDGET} bytes; use the fast path"
+        )
 
 
 def char_at_coxeter_oracle(

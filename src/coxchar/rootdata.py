@@ -25,6 +25,7 @@ from math import prod
 from operator import mul
 from typing import NamedTuple, Sequence
 
+from .errors import InternalCheckError
 from .lattice import FiniteAbelianGroup, IntMatrix, quotient
 
 Weight = tuple[int, ...]
@@ -139,7 +140,16 @@ class RootPair(NamedTuple):
         return sum(self.simple_coords)
 
 
-def _positive_roots(a: list[list[int]]) -> list[RootPair]:
+def _failed(name: str, lhs: str, rhs: str, got, want) -> InternalCheckError:
+    """The error for a build identity lhs = rhs of factor ``name`` that
+    came out as got != want."""
+    return InternalCheckError(
+        f"{name}: {lhs} != {rhs} ({got} != {want})",
+        witness={"factor": name, "identity": f"{lhs} = {rhs}", "lhs": got, "rhs": want},
+    )
+
+
+def _positive_roots(name: str, a: list[list[int]]) -> list[RootPair]:
     """All positive roots and their coroots, raised from the simple roots.
 
     A root beta has fundamental-weight coordinates x_i = <beta, alpha_i_vee>,
@@ -170,8 +180,10 @@ def _positive_roots(a: list[list[int]]) -> list[RootPair]:
                         coroot=c[:i] + (ci,) + c[i + 1 :],
                     )
                 )
-    if any(sum(map(mul, p.root, p.coroot)) != 2 for p in roots):
-        raise AssertionError("<beta, beta_vee> != 2")
+    for p in roots:
+        got = sum(map(mul, p.root, p.coroot))
+        if got != 2:
+            raise _failed(name, f"<beta, beta_vee> for beta = {list(p.simple_coords)}", "2", got, 2)
     return sorted(roots, key=lambda p: (p.height, p.simple_coords))
 
 
@@ -262,39 +274,44 @@ class SimpleFactor(NamedTuple):
 
 @cache
 def _build_factor(family: str, rank: int) -> SimpleFactor:
+    name = f"{family}{rank}"
     a = _cartan(family, rank)
     cartan = IntMatrix.from_rows(a)
-    positive = _positive_roots(a)
+    positive = _positive_roots(name, a)
 
     num_roots = 2 * len(positive)
     if num_roots % rank != 0:
-        raise AssertionError("|Phi| not divisible by rank")
+        raise _failed(name, "|Phi| mod rank", "0", num_roots % rank, 0)
     h = num_roots // rank
-    if h != 1 + max(p.height for p in positive):
-        raise AssertionError("Coxeter number disagrees with highest-root height")
+    top = 1 + max(p.height for p in positive)
+    if h != top:
+        raise _failed(name, "h", "1 + the highest root's height", h, top)
 
     by_coht = sorted(positive, key=lambda p: p.coroot_height)
     highest = by_coht[-1]
     if highest.coroot_height != h - 1:
-        raise AssertionError("highest coroot height != h - 1")
+        raise _failed(name, "highest coroot height", "h - 1", highest.coroot_height, h - 1)
     if len(by_coht) > 1 and by_coht[-2].coroot_height == h - 1:
-        raise AssertionError("highest coroot not unique")
+        tops = sum(p.coroot_height == h - 1 for p in positive)
+        raise _failed(name, "#{coroots of height h - 1}", "1", tops, 1)
     # with height h - 1, this makes rho the only integral point of the open
     # fundamental alcove: x_j >= 1 and <x, gamma_vee> < h force x = rho
     if min(highest.coroot) < 1:
-        raise AssertionError("highest coroot has a zero coordinate")
+        raise _failed(name, "min coordinate of the highest coroot", "1", min(highest.coroot), 1)
     # 0 and the minuscule omega_i, those with c_i = 1, represent P/Q (Bourbaki VIII.7.3)
     center = quotient(rank, cartan)
     if center.order != 1 + highest.coroot.count(1):
-        raise AssertionError("|P/Q| != 1 + #{i : c_i = 1} for the highest coroot c")
+        raise _failed(name, "|P/Q|", "1 + #{i : c_i = 1} for the highest coroot c",
+                      center.order, 1 + highest.coroot.count(1))
 
     two_rho_check = tuple(
         sum(p.coroot[j] for p in positive) for j in range(rank)
     )
     # <alpha_i, rho_check> = 1 is the identity everything downstream leans on
     for i in range(rank):
-        if sum(a[j][i] * two_rho_check[j] for j in range(rank)) != 2:
-            raise AssertionError("<alpha_i, rho_check> != 1")
+        got = sum(a[j][i] * two_rho_check[j] for j in range(rank))
+        if got != 2:
+            raise _failed(name, f"<alpha_{i + 1}, 2 rho_check>", "2", got, 2)
 
     # Kostant: the exponents are m_j = #{heights k : at least j positive
     # roots have height k}, and |W| = prod (1 + m_j) (Chevalley)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coxchar import oracle, weyl
+from coxchar import oracle, rootdata, weyl
 from coxchar.cli import EXIT_CAP, EXIT_DIAGNOSTIC, EXIT_OK, EXIT_USAGE, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,12 +102,23 @@ class TestChar:
         assert doc["agrees"] is True
 
     def test_conductor_above_128_refused_exit_4(self, capsys):
-        # the oracle keeps residues mod N in bytes; N = 256 for A15
-        code, out, err = run(capsys, "char", "A15", *["0"] * 15, "--oracle",
+        # the oracle keeps residues mod N in bytes; N = h * d = 132 for C33
+        code, out, err = run(capsys, "char", "C33", *["0"] * 33, "--oracle",
+                             "--weyl-cap", str(10**50))
+        assert code == EXIT_CAP
+        assert out == ""
+        assert "refused:" in err and "N = 132" in err
+
+    @pytest.mark.parametrize("t", ["A10", "A11", "A12", "A13", "A14", "A15", "E8"])
+    def test_orbit_over_the_byte_budget_refused_exit_4(self, capsys, t):
+        # past a raised Weyl cap, the orbit's |W| * (rank + 1) bytes are
+        # refused before anything is allocated
+        rank = int(t[1:])
+        code, out, err = run(capsys, "char", t, *["0"] * rank, "--oracle",
                              "--weyl-cap", str(10**14))
         assert code == EXIT_CAP
         assert out == ""
-        assert "refused:" in err and "N = 256" in err
+        assert err.startswith("refused:") and "exceed the budget" in err
 
     def test_out_of_memory_refused_exit_4(self):
         # the E8 orbit passes --weyl-cap but not the child's 300 MB of
@@ -160,6 +171,20 @@ class TestChar:
         assert err.startswith("diagnostic: reflected coordinate")
         witness = json.loads(err.splitlines()[1])
         assert witness["factor"] == "B3" and witness["residue_sum"] != witness["exact_sum"]
+
+    def test_failed_build_exits_3_with_its_witness(self, capsys, monkeypatch):
+        # the Smith form of 2A has order 4 |P/Q| = 12 on A2, not 1 + 2
+        smith = rootdata.quotient
+        monkeypatch.setattr(rootdata, "quotient", lambda r, basis: smith(r, basis.scale(2)))
+        rootdata._build_factor.cache_clear()
+        try:
+            code, out, err = run(capsys, "info", "A2")
+        finally:
+            rootdata._build_factor.cache_clear()
+        assert code == EXIT_DIAGNOSTIC and out == ""
+        assert err.startswith("diagnostic: A2: |P/Q| != 1 + #{i : c_i = 1}")
+        witness = json.loads(err.splitlines()[-1])
+        assert (witness["factor"], witness["lhs"], witness["rhs"]) == ("A2", 12, 3)
 
 
 class TestFs:
@@ -424,7 +449,7 @@ class TestCheckAll:
             assert exc.value.code == EXIT_USAGE
 
     def test_oracle_refusing_a_conductor_skips_only_its_check(self, capsys):
-        # A11 is under the Weyl cap, but its conductor N = 144 is over 128:
+        # A11 is under the Weyl cap, but its orbit is over the byte budget:
         # the oracle refuses it, and the battery goes on without that check
         code, doc, _ = run_json(
             capsys, "check-all", "A1", "A11", "--weyl-cap", "1000000000", "--max-coord", "0"

@@ -57,6 +57,19 @@ class TestCyclotomicPolynomial:
         with pytest.raises(ValueError):
             cyclotomic_polynomial(0)
 
+    def test_non_monic_divisor_raises(self):
+        # an explicit check, not an assert: it holds under python -O too
+        with pytest.raises(InternalCheckError, match="not monic") as exc:
+            cyclotomic._poly_divmod_monic([1, 0, 1], [1, 2])
+        assert exc.value.witness == {"divisor": [1, 2]}
+
+    def test_division_with_a_remainder_raises(self, monkeypatch):
+        # with Phi_1 taken as x + 1, x^3 - 1 leaves the remainder -2
+        monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", lambda d: (1, 1))
+        with pytest.raises(InternalCheckError, match="remainder") as exc:
+            cyclotomic_polynomial.__wrapped__(3)
+        assert exc.value.witness == {"n": 3, "remainder": [-2]}
+
 
 class TestRingOps:
     def test_zeta_identities(self):
@@ -164,7 +177,8 @@ class TestDivideExact:
                 continue
             assert divide_exact(a * b, b) == a
 
-    # the oracle's conductors h * e reach N = 100 at A9
+    # the oracle's conductors h * d are at most 36 (E7) on the types its
+    # byte budget admits; 48 and 100 check the ring beyond that
     @pytest.mark.parametrize("n", [4, 5, 8, 12, 28, 36, 48, 100])
     def test_non_exact_quotient_is_certified(self, n):
         # D * q is integral for D the lcm of the denominators of q, and

@@ -10,12 +10,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coxchar import oracle, rootdata
-from coxchar.character import char_at_coxeter
+from coxchar.character import char_at_coxeter, coxeter_lift_order
 from coxchar.cyclotomic import CyclotomicInt
 from coxchar.errors import CapExceeded, InternalCheckError, TheoremViolation
-from coxchar.oracle import MAX_CONDUCTOR, CoxeterEvaluation, char_at_coxeter_oracle
+from coxchar.oracle import (
+    BIT_COUNT_FROM,
+    COUNT_SLICE,
+    MAX_CONDUCTOR,
+    CoxeterEvaluation,
+    char_at_coxeter_oracle,
+)
 from coxchar.rootdata import build
 from weyl_reference import enumerate_weyl, reference_signed_orbit_counts, simple_reflection
+
+
+# 40 types: every family through rank 8 or more, and the exceptional types
+DUAL_CHECK_TYPES = (
+    [f"A{r}" for r in range(1, 12)]
+    + [f"{x}{r}" for x in "BC" for r in range(2, 10)]
+    + [f"D{r}" for r in range(4, 12)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
 
 
 def weyl_numerator(t, lam):
@@ -48,17 +63,30 @@ class TestWeylNumerator:
         with pytest.raises(CapExceeded):
             char_at_coxeter_oracle(build("E8"), (0,) * 8)
 
-    @pytest.mark.parametrize("t", ["A11", "A15", "A1xA15", "A16", "A40"])
+    @pytest.mark.parametrize("t", ["C33", "A65", "A1xC33", "D34"])
     def test_conductor_above_a_byte_is_refused_before_any_orbit_walk(self, monkeypatch, t):
         # two residues mod N add up within a byte only for N <= 128;
-        # A11 (N = 144) is the first A type above that
+        # C33, A65 and D34 have N = h * d = 132, and build in well under 1 s
         def walk(f, start, n):
             raise AssertionError("orbit built before the conductor check")
 
         monkeypatch.setattr(oracle, "_build_signed_orbit", walk)
         rd = build(t)
-        n = (rd.factors[-1].rank + 1) ** 2
-        with pytest.raises(CapExceeded, match=f"N = {n} of A{rd.factors[-1].rank}"):
+        name = rd.factors[-1].name
+        with pytest.raises(CapExceeded, match=f"N = 132 of {name}"):
+            char_at_coxeter_oracle(rd, (0,) * rd.rank, cap=None)
+
+    @pytest.mark.parametrize("t", ["A10", "A11", "A15", "A1xA15", "A16", "A40", "B8", "E8"])
+    def test_orbit_over_byte_budget_refused_before_any_walk(self, monkeypatch, t):
+        # |W| * (rank + 1) bytes: A10 needs 439 MB, B8 93 MB, E8 6.3 GB
+        def walk(f, start, n):
+            raise AssertionError("orbit built before the byte budget check")
+
+        monkeypatch.setattr(oracle, "_build_signed_orbit", walk)
+        rd = build(t)
+        size = sum(f.weyl_order * (f.rank + 1) for f in rd.factors)
+        assert size > oracle.ORBIT_BYTE_BUDGET
+        with pytest.raises(CapExceeded, match=f"{size} bytes for {t} exceed the budget"):
             char_at_coxeter_oracle(rd, (0,) * rd.rank, cap=None)
 
     def test_factors_that_hash_alike_get_their_own_evaluation(self, fresh_evaluations):
@@ -71,11 +99,24 @@ class TestWeylNumerator:
         assert other is not real and oracle._evaluation(f) is real
         assert (real.conductor, other.conductor) == (12, 13)
 
-    @pytest.mark.parametrize("t, n", [("A10", 121), ("B32", 128)])
+    @pytest.mark.parametrize("t, n", [("C32", 128), ("A63", 128)])
     def test_conductors_up_to_128_pass_the_check(self, t, n):
+        # past the conductor check, the orbit of either is over the byte budget
         rd = build(t)
         assert oracle._evaluation(rd.factors[0]).conductor == n <= MAX_CONDUCTOR
-        oracle._check_cap(rd, None)
+        with pytest.raises(CapExceeded, match="exceed the budget"):
+            oracle._check_cap(rd, None)
+
+    @pytest.mark.parametrize("t", DUAL_CHECK_TYPES)
+    def test_conductor_is_the_lift_order_of_the_dual_type(self, t):
+        # t has order h * d in the simply connected cover, d the order of
+        # [rho_check] in P_check/Q_check; on the dual root datum (B <-> C)
+        # that is the order of [rho] in P/Q, which coxeter_lift_order reads
+        # from the dual type's root table, while the oracle reads d from
+        # this type's minuscule nodes
+        dual = t.translate(str.maketrans("BC", "CB"))
+        lift = coxeter_lift_order(build(dual))[0].lift_order
+        assert oracle._evaluation(build(t).factors[0]).conductor == lift
 
     @pytest.mark.parametrize("t", ["A2", "B2", "G2", "A3"])
     def test_alternating_in_mu(self, t):
@@ -137,18 +178,18 @@ class TestPacking:
 DIFFERENTIAL_TYPES = [t for t in SIMPLE_TYPES_TO_RANK_8 if build(t).weyl_order <= 10**5] + ["D7"]
 # (N, det(w0)) of types that cover both signs of the mirror and both
 # parities of N; E6 is the benchmark's hot type
-MIRRORS = {"E6": (36, 1), "A4": (25, 1), "A2": (9, -1), "B3": (12, -1)}
+MIRRORS = {"E6": (12, 1), "A4": (5, 1), "A2": (3, -1), "B3": (6, -1)}
 
 
 class TestByteResidues:
     @pytest.mark.parametrize("t, digest", [
-        ("A2", "3b2ee924455b26b95386aa660e56950162ef994673e96f48b5b210866b6d1562"),
-        ("B3", "d94fe5def07a2c19d42a7a7f54a0dbc40537dcbcd11fc0c47dfa946a5f7b53a1"),
+        ("A2", "28fa5fe4bb528d3e50ac639c58bbe82ad73b24bef527ef2066c2459ef5c071df"),
+        ("B3", "017f7c2cc191d9725677cfdde5b415e7a8882dd7529695cd759aa551a992664e"),
         ("G2", "410bd899ca6f813f2fddff1e4c59f1a24bb1518e340e19fa161e2d206ebc66a0"),
         ("C4", "4e6da5d2b4ee480f1351d029015e070b419e4fd1cf013a904043b3e9eb61ca16"),
         ("F4", "89e9a609aa7a1cba3bb51be8f4646aaef0257263c8dfbe3406b7ab49d605d46e"),
-        ("D5", "72e0815959c1bf7ded76fa0afe2beedd21de0ef935364159730c3a559d30f0f1"),
-        ("E6", "c3c258eeae05e06b89d584fcd0e67fdbf2726a7de0ca1b60b867218cd3194bf0"),
+        ("D5", "89fc4fa02d3729acc71f651e48bce6ec8c8e731b967d0f913b1ed15854c7feb5"),
+        ("E6", "8a4f06f84f12287c7f19227033efba5d695d5ad1421453795799c313e403a0ea"),
         ("E7", "2ae314c502117a301bd681f374a3d62a8d3ff9ddda1e785f75aec2f9382d493b"),
     ])
     def test_orbit_bytes_are_pinned(self, t, digest):
@@ -169,13 +210,27 @@ class TestByteResidues:
             want = bytes(sum(m * c[p] for m, c in zip(ms, cols)) % n for p in range(size))
             assert oracle._byte_residues(n, list(zip(ms, cols)), size) == want
 
+    @pytest.mark.parametrize("top", ["half", "all"])
+    @pytest.mark.parametrize("n", [2, 3, 12, 36, 128])
+    @pytest.mark.parametrize("size", [0, 1, BIT_COUNT_FROM - 1, BIT_COUNT_FROM, COUNT_SLICE - 1,
+                                      COUNT_SLICE, COUNT_SLICE + 1, 3 * COUNT_SLICE + 5])
+    def test_histogram_matches_bytes_count(self, size, n, top):
+        # both counting paths, every slice boundary, and both the
+        # numerator's residues 0..N/2 and the denominator's N
+        rng = random.Random(size * n)
+        fold = bytes(b % n for b in range(256))
+        plus, minus = (rng.randbytes(size).translate(fold) for _ in range(2))
+        top = n // 2 + 1 if top == "half" else n
+        want = [plus.count(k) - minus.count(k) for k in range(top)]
+        assert oracle._signed_histogram(n, (1,), ((plus,), (minus,)), top) == want
+
     @pytest.mark.parametrize("t", DIFFERENTIAL_TYPES)
     def test_histogram_matches_reference(self, t):
         rd = build(t)
         ev = CoxeterEvaluation.for_factor(rd.factors[0])
         n, r = ev.conductor, rd.rank
-        if t in ("A6", "A7", "D7"):
-            assert r > 255 // (n - 1)  # the kernel folds between terms
+        # no type here has r > 255 // (N - 1), so the kernel never folds
+        # between terms; test_kernel_matches_bytewise_sum covers the fold
         rng = random.Random(r * n)
         mus = [
             rd.rho,
@@ -220,7 +275,7 @@ ORACLE_TYPES = [
 class TestMirror:
     def test_oracle_types_at_default_caps(self):
         assert ORACLE_TYPES == (
-            [f"A{r}" for r in range(1, 9)]  # A8: N = 81, |W| = 362,880
+            [f"A{r}" for r in range(1, 9)]  # A8: N = 9, |W| = 362,880
             + [f"{x}{r}" for x in "BC" for r in range(2, 8)]
             + [f"D{r}" for r in range(4, 8)]
             + ["E6", "E7", "F4", "G2"]
@@ -228,6 +283,8 @@ class TestMirror:
         for t in ("B8", "C8", "D8"):
             with pytest.raises(CapExceeded):
                 char_at_coxeter_oracle(build(t), (0,) * 8)
+        for t in ORACLE_TYPES + ["A9"]:  # every type under the Weyl cap fits the byte budget
+            oracle._check_cap(build(t), oracle.DEFAULT_WEYL_CAP)
 
     @pytest.mark.parametrize("t", ORACLE_TYPES)
     def test_sign_read_from_the_denominator_is_det_w0(self, t):
@@ -239,12 +296,15 @@ class TestMirror:
 
     @pytest.mark.parametrize("t, sign_class", [("E6", 0), ("E6", 1), ("A2", 0), ("A2", 1)])
     def test_unmirrored_denominator_is_refused(self, t, sign_class):
-        # moving one point's rho-pairing up by one breaks the mirror
+        # moving one point's rho-pairing from k != -k onto 0 breaks the
+        # mirror: counts[0] is 0 if det(w0) = -1, and counts[k] changes
+        # while counts[-k] does not
         f = build(t).factors[0]
         ev = CoxeterEvaluation.for_factor(f)
         n = ev.conductor
-        col = ev._signed_orbit()[sign_class][0]
-        _with_byte(ev, sign_class, 0, 0, (col[0] + 1) % n)
+        cols = ev._signed_orbit()[sign_class]
+        pos = next(p for p in range(len(cols[0])) if 2 * sum(c[p] for c in cols) % n)
+        _with_byte(ev, sign_class, 0, pos, (cols[0][pos] - sum(c[pos] for c in cols)) % n)
         counts = reference_signed_orbit_counts(ev, (1,) * f.rank)
         k = _first_mirror_break(counts)
         assert k is not None
@@ -256,9 +316,9 @@ class TestMirror:
     @pytest.mark.parametrize("target", [0, 6])
     @pytest.mark.parametrize("sign_class", [0, 1])
     def test_numerator_counting_a_self_mirrored_residue_is_refused(self, target, sign_class):
-        # B3: N = 12 and det(w0) = -1, so residues 0 and 6 must count 0;
+        # C3: N = 12 and det(w0) = -1, so residues 0 and 6 must count 0;
         # one point of a class moved onto the target residue counts +-1
-        f = build("B3").factors[0]
+        f = build("C3").factors[0]
         ev = CoxeterEvaluation.for_factor(f)
         ev.denominator()
         assert (ev.conductor, ev._mirror) == (12, -1)
@@ -270,7 +330,7 @@ class TestMirror:
         _with_byte(ev, sign_class, 0, pos, (cols[0][pos] + target - pairing) % 12)
         with pytest.raises(InternalCheckError, match=f"residue {target} = -{target} mod 12") as exc:
             ev.signed_orbit_counts(mu)
-        assert exc.value.witness == {"factor": "B3", "conductor": 12, "mu": list(mu),
+        assert exc.value.witness == {"factor": "C3", "conductor": 12, "mu": list(mu),
                                      "k": target, "count": 1 - 2 * sign_class}
 
 
@@ -364,6 +424,17 @@ class TestChecksCanFail:
         ev = CoxeterEvaluation.for_factor(build(t).factors[0])
         with pytest.raises(InternalCheckError, match="residues summing to"):
             oracle._build_signed_orbit(ev.factor, ev.weight_exponents, ev.conductor)
+
+    def test_exponent_that_is_not_whole_is_refused(self):
+        # E6: d = 1, read at the minuscule nodes 1 and 6; an odd <omega_4, 2 rho_check>
+        # would put omega_4 off the character of P/Q that those nodes give
+        f = build("E6").factors[0]
+        two = f.two_rho_check
+        bad = f._replace(two_rho_check=two[:3] + (two[3] + 1,) + two[4:])
+        with pytest.raises(InternalCheckError, match="does not clear") as exc:
+            CoxeterEvaluation.for_factor(bad)
+        assert exc.value.witness == {"factor": "E6", "conductor": 12,
+                                     "two_rho_check": list(bad.two_rho_check)}
 
     def test_perturbed_float_shadow_is_refused(self, monkeypatch, fresh_evaluations):
         rd = build("G2")

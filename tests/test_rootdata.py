@@ -3,6 +3,7 @@ from math import factorial
 import pytest
 
 from coxchar import rootdata
+from coxchar.errors import InternalCheckError
 from coxchar.lattice import IntMatrix
 from coxchar.rootdata import RootPair, build, pairing, parse_cartan_type
 from weyl_reference import det
@@ -107,8 +108,16 @@ class TestCenters:
         # __wrapped__ runs the build past the factor cache
         smith = rootdata.quotient
         monkeypatch.setattr(rootdata, "quotient", lambda r, basis: smith(r, basis.scale(2)))
-        with pytest.raises(AssertionError, match=r"\|P/Q\| != 1 \+ #\{i : c_i = 1\}"):
+        with pytest.raises(InternalCheckError, match=r"\|P/Q\| != 1 \+ #\{i : c_i = 1\}") as exc:
             rootdata._build_factor.__wrapped__(family, rank)
+        cartan = IntMatrix.from_rows(rootdata._cartan(family, rank))
+        order = abs(det(cartan))
+        assert exc.value.witness == {
+            "factor": f"{family}{rank}",
+            "identity": "|P/Q| = 1 + #{i : c_i = 1} for the highest coroot c",
+            "lhs": 2**rank * order,
+            "rhs": order,
+        }
 
 
 class TestInvariants:
